@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from .result import Failure, Result, Success
-from .signature import Signature, SlotKind, disequence, fmap_co, leaf_of, unwrap_node
+from .signature import Signature, disequence, fmap_co, leaf_of, map_slots
 from .term import Cxt, In, Term, Var
 
 
@@ -132,13 +132,6 @@ def node_count(t: Term) -> int:
     """Number of constructor nodes, counting each binder body once."""
 
     def phi(node) -> int:
-        leaf = unwrap_node(node)[0]
-        total = 1
-        for slot, value in leaf.slot_values():
-            if slot.kind is SlotKind.COVARIANT:
-                total += value
-            elif slot.kind is SlotKind.CONTRAVARIANT:
-                total += value(0)
-        return total
+        return 1 + sum(map_slots(leaf_of(node), lambda n: n, lambda body: body(0), lambda _: 0))
 
     return cata(phi, t)

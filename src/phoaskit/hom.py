@@ -17,6 +17,12 @@ Unlike general folds, homomorphisms compose: with another homomorphism
 so staged pipelines can be collapsed into a single traversal.  They also
 lift over annotated signatures, propagating each source node's annotation
 onto every node the rule produced.
+
+A :class:`HomCases` rule table re-tags every constructor it has no rule
+for into its target signature.  ``app_hom`` and ``compose_alg_hom`` send
+such a node, its slots already mapped, straight to ``In(target.inj(leaf))``
+or ``phi(target.inj(leaf))``, skipping the context of holes that the
+general path builds and merges away again; other callables take that path.
 """
 from __future__ import annotations
 
@@ -27,11 +33,36 @@ from .signature import Ann, Signature, fmap_co, leaf_of
 from .term import Cxt, Hole, In, Term, app_cxt
 
 
+class HomCases:
+    """A homomorphism from per-constructor rules and a re-tag default.
+
+    The counterpart of :func:`~phoaskit.algebra.make_cases`: tags and
+    annotations are stripped before dispatch, and a constructor without a
+    rule is re-tagged into ``target`` with its children as holes.
+    """
+
+    __slots__ = ("cases", "target")
+
+    def __init__(self, cases: dict[type, Callable[[Any], Cxt]], target: Signature):
+        self.cases = cases
+        self.target = target
+
+    def __call__(self, node) -> Cxt:
+        leaf = leaf_of(node)
+        rule = self.cases.get(type(leaf))
+        return In(fmap_co(Hole, self.target.inj(leaf))) if rule is None else rule(leaf)
+
+
 def app_hom(rho: Callable[[Any], Cxt], c: Cxt) -> Cxt:
     """Apply a homomorphism to a context (or preterm)."""
-    if isinstance(c, In):
-        return app_cxt(rho(fmap_co(lambda child: app_hom(rho, child), c.node)))
-    return c
+    if not isinstance(c, In):
+        return c
+    walk = lambda child: app_hom(rho, child)
+    if not isinstance(rho, HomCases):
+        return app_cxt(rho(fmap_co(walk, c.node)))
+    leaf = fmap_co(walk, leaf_of(c.node))
+    rule = rho.cases.get(type(leaf))
+    return In(rho.target.inj(leaf)) if rule is None else app_cxt(rule(leaf))
 
 
 def app_term_hom(rho: Callable[[Any], Cxt], t: Term) -> Term:
@@ -46,14 +77,22 @@ def compose_hom(rho1: Callable, rho2: Callable) -> Callable[[Any], Cxt]:
 
 def compose_alg_hom(phi: Callable, rho: Callable) -> Callable[[Any], Any]:
     """Fuse an algebra after a homomorphism into one algebra."""
-    return lambda node: free(phi, _identity, rho(node))
+    if not isinstance(rho, HomCases):
+        return lambda node: free(phi, _identity, rho(node))
+
+    def fused(node):
+        leaf = leaf_of(node)
+        rule = rho.cases.get(type(leaf))
+        return phi(rho.target.inj(leaf)) if rule is None else free(phi, _identity, rule(leaf))
+
+    return fused
 
 
 def _identity(x):
     return x
 
 
-def identity_hom(target: Signature) -> Callable[[Any], Cxt]:
+def identity_hom(target: Signature) -> HomCases:
     """Re-tag nodes into ``target`` without touching their structure.
 
     This is both the identity homomorphism (when source and target agree)
@@ -61,12 +100,7 @@ def identity_hom(target: Signature) -> Callable[[Any], Cxt]:
     does not rewrite.  It also deep-injects terms over a sub-signature
     into a larger one via :func:`app_term_hom`.
     """
-
-    def rho(node) -> Cxt:
-        leaf = leaf_of(node)
-        return In(fmap_co(Hole, target.inj(leaf)))
-
-    return rho
+    return HomCases({}, target)
 
 
 def lift_ann_hom(rho: Callable[[Any], Cxt]) -> Callable[[Any], Cxt]:

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from typing import Any, Callable, ClassVar
 
 from .algebra import cata, make_cases
-from .hom import app_term_hom, compose_alg_hom, identity_hom
+from .hom import HomCases, app_term_hom, compose_alg_hom
 from .result import Failure, Result, Success
-from .signature import Node, Signature, Slot, dimap, leaf_of
+from .signature import Node, Signature, Slot, dimap
 from .term import Cxt, Hole, In, Term, Var, inject, project, smart_binder
 
 
@@ -159,19 +159,15 @@ def pretty(t: Term) -> str:
 
 # Desugaring, once as a fold and once as a homomorphism.
 
-def _reinject_core(leaf: Node) -> Cxt:
-    # default rule: rebuild the node in the core signature; binder slots
-    # get their Var wrap back since the carrier sits on both sides
-    return In(CORE.inj(dimap(Var, _id, leaf)))
-
-
-def _id(x):
-    return x
+def _reinject(sig: Signature) -> Callable[[Node], Cxt]:
+    # default rule: rebuild the node in ``sig``; binder slots get their Var
+    # wrap back since the carrier sits on both sides
+    return lambda leaf: In(sig.inj(dimap(Var, lambda x: x, leaf)))
 
 
 _desugar_alg = make_cases(
     {Let: lambda n: i_app(i_lam(n.body, CORE), n.bound, CORE)},
-    default=_reinject_core,
+    default=_reinject(CORE),
 )
 
 
@@ -180,16 +176,14 @@ def desugar_via_cata(t: Term) -> Term:
     return Term(lambda: cata(_desugar_alg, t))
 
 
-_core_default = identity_hom(CORE)
+def _desugar_let(leaf: Let) -> Cxt:
+    lam = In(CORE.inj(Lam(lambda v: Hole(leaf.body(v)))))
+    return In(CORE.inj(App(lam, Hole(leaf.bound))))
 
 
-def desugar_hom(node) -> Cxt:
-    """Homomorphism form: ``let x = e1 in e2  ~>  (\\x. e2) e1``."""
-    leaf = leaf_of(node)
-    if isinstance(leaf, Let):
-        lam = In(CORE.inj(Lam(lambda v: Hole(leaf.body(v)))))
-        return In(CORE.inj(App(lam, Hole(leaf.bound))))
-    return _core_default(node)
+# Homomorphism form: ``let x = e1 in e2  ~>  (\\x. e2) e1``; every other
+# constructor is re-tagged into the core signature.
+desugar_hom = HomCases({Let: _desugar_let}, CORE)
 
 
 def desugar(t: Term) -> Term:
@@ -210,10 +204,7 @@ def const_fold(t: Term, sig: Signature = FULL) -> Term:
             return i_lit(left.value + right.value, sig)
         return i_plus(n.lhs, n.rhs, sig)
 
-    phi = make_cases(
-        {Plus: fold_plus},
-        default=lambda leaf: In(sig.inj(dimap(Var, _id, leaf))),
-    )
+    phi = make_cases({Plus: fold_plus}, default=_reinject(sig))
     return Term(lambda: cata(phi, t))
 
 

@@ -9,12 +9,13 @@ therefore compare equal and print identically.
 """
 from __future__ import annotations
 
+import operator
 import string
 from dataclasses import dataclass
 from functools import total_ordering
 from typing import Callable, Generic, TypeVar
 
-from .signature import SlotKind, unwrap_node
+from .signature import leaf_of, map_slots, unwrap_node
 from .term import Cxt, In, Term, Var
 
 R = TypeVar("R")
@@ -78,13 +79,15 @@ def eval_fresh(comp: FreshComp[R]) -> R:
     return comp.run(FreshSupply())
 
 
-def _heads(c: Cxt, other: Cxt):
-    """Unwrapped node pairs for two ``In`` heads, or None on any mismatch."""
-    leaf1, path1, ann1 = unwrap_node(c.node)
-    leaf2, path2, ann2 = unwrap_node(other.node)
-    if path1 != path2 or type(leaf1) is not type(leaf2) or ann1 != ann2:
-        return None
-    return leaf1, leaf2
+def _pairwise(walk: Callable, supply: FreshSupply) -> tuple[Callable, Callable]:
+    """Slot functions walking two children, or two binder bodies applied
+    to one shared fresh name."""
+
+    def bodies(body1, body2):
+        x = supply.fresh()
+        return walk(body1(x), body2(x), supply)
+
+    return lambda c1, c2: walk(c1, c2, supply), bodies
 
 
 def _peq(c1: Cxt, c2: Cxt, supply: FreshSupply) -> bool:
@@ -92,24 +95,11 @@ def _peq(c1: Cxt, c2: Cxt, supply: FreshSupply) -> bool:
         return c1.token == c2.token
     if not (isinstance(c1, In) and isinstance(c2, In)):
         return False
-    heads = _heads(c1, c2)
-    if heads is None:
+    leaf1, path1, ann1 = unwrap_node(c1.node)
+    leaf2, path2, ann2 = unwrap_node(c2.node)
+    if path1 != path2 or type(leaf1) is not type(leaf2) or ann1 != ann2:
         return False
-    leaf1, leaf2 = heads
-    for slot in leaf1.SLOTS:
-        v1 = getattr(leaf1, slot.name)
-        v2 = getattr(leaf2, slot.name)
-        if slot.kind is SlotKind.STATIC:
-            if v1 != v2:
-                return False
-        elif slot.kind is SlotKind.COVARIANT:
-            if not _peq(v1, v2, supply):
-                return False
-        else:
-            x = supply.fresh()
-            if not _peq(v1(x), v2(x), supply):
-                return False
-    return True
+    return all(map_slots(leaf1, *_pairwise(_peq, supply), operator.eq, other=leaf2))
 
 
 def preterm_eq(p1: Cxt, p2: Cxt) -> bool:
@@ -152,28 +142,25 @@ def _pcompare(c1: Cxt, c2: Cxt, supply: FreshSupply) -> int:
     leaf2, path2, ann2 = unwrap_node(c2.node)
     if path1 != path2:
         return _cmp(path1, path2)
-    if (ann1 is not None or ann2 is not None) and ann1 != ann2:
-        return _cmp(ann1, ann2)
-    for slot in leaf1.SLOTS:
-        v1 = getattr(leaf1, slot.name)
-        v2 = getattr(leaf2, slot.name)
-        if slot.kind is SlotKind.STATIC:
-            order = _cmp(v1, v2)
-        elif slot.kind is SlotKind.COVARIANT:
-            order = _pcompare(v1, v2, supply)
-        else:
-            x = supply.fresh()
-            order = _pcompare(v1(x), v2(x), supply)
-        if order != _EQ:
+    # a missing annotation first, then annotations by type name, then by value
+    if ann1 != ann2:
+        rank = lambda ann: (ann is not None, type(ann).__name__)
+        order = _cmp(rank(ann1), rank(ann2)) or _cmp(ann1, ann2)
+        if order:
             return order
-    return _EQ
+    if type(leaf1) is not type(leaf2):
+        return _cmp(type(leaf1).__name__, type(leaf2).__name__)
+    orders = map_slots(leaf1, *_pairwise(_pcompare, supply), _cmp, other=leaf2)
+    return next((order for order in orders if order != _EQ), _EQ)
 
 
 def alpha_compare(t1: Term, t2: Term) -> int:
     """Total order compatible with alpha-equivalence.
 
-    Lexicographic on (injection path, slots left to right); names compare
-    by supply index.  Returns a negative, zero or positive int.
+    Lexicographic on (injection path, annotation, constructor name, slots
+    left to right); names compare by supply index.  Annotations order a
+    missing annotation first, then by the annotation's type name, then by
+    value.  Returns a negative, zero or positive int.
     """
     p1, p2 = t1.preterm(), t2.preterm()
     return eval_fresh(FreshComp(lambda supply: _pcompare(p1, p2, supply)))
@@ -186,17 +173,15 @@ def _atom(text: str) -> str:
 def _pshow(c: Cxt, supply: FreshSupply) -> str:
     if isinstance(c, Var):
         return str(c.token)
-    leaf = unwrap_node(c.node)[0]
-    parts = [type(leaf).__name__]
-    for slot, value in leaf.slot_values():
-        if slot.kind is SlotKind.STATIC:
-            parts.append(_atom(str(value)))
-        elif slot.kind is SlotKind.COVARIANT:
-            parts.append(_atom(_pshow(value, supply)))
-        else:
-            x = supply.fresh()
-            parts.append(f"(\\{x} -> {_pshow(value(x), supply)})")
-    return " ".join(parts)
+    leaf = leaf_of(c.node)
+
+    def binder(body):
+        x = supply.fresh()
+        return f"(\\{x} -> {_pshow(body(x), supply)})"
+
+    child = lambda c: _atom(_pshow(c, supply))
+    parts = map_slots(leaf, child, binder, lambda value: _atom(str(value)))
+    return " ".join([type(leaf).__name__, *parts])
 
 
 def struct_show(t: Term) -> str:

@@ -8,6 +8,11 @@ slots:
   recursive side (binders),
 * static slots hold constructor payload (an integer literal, say).
 
+Each constructor class is compiled once into a :class:`Shape`, and every
+generic walk (mapping, sequencing, traversal, validation, equality,
+printing) goes through it; sum tags and annotations are peeled off by a
+loop and put back around the rebuilt node.
+
 ``dimap`` is the structure-preserving map over both sides; fixing the
 contravariant side with the identity gives the ordinary child-mapping
 ``fmap_co``.  Signatures compose by a right-nested binary sum (``Inl`` /
@@ -21,9 +26,11 @@ Laws expected of every node class (checked by the test suite):
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
-from typing import Any, Callable, ClassVar
+from functools import cache
+from operator import attrgetter
+from typing import Any, Callable, ClassVar, Iterator
 
 from .result import Failure, Result, Success
 
@@ -56,19 +63,57 @@ class Node:
     """Base class for signature constructor nodes.
 
     Subclasses are frozen dataclasses whose ``SLOTS`` tuple names every
-    field together with its variance.  All generic machinery (mapping,
-    traversal, equality, printing) is driven by that tuple, so a new
-    signature is just a dataclass plus its slot declaration.
+    field together with its variance.  The tuple is compiled once per
+    class into a :class:`Shape` that all generic machinery (mapping,
+    traversal, validation, equality, printing) walks, so a new signature
+    is just a dataclass plus its slot declaration.
     """
 
     SLOTS: ClassVar[tuple[Slot, ...]] = ()
 
-    def slot_values(self):
-        for slot in self.SLOTS:
-            yield slot, getattr(self, slot.name)
 
-    def rebuild(self, values: dict[str, Any]) -> "Node":
-        return type(self)(**values)
+class Shape:
+    """The slot layout of one constructor class, compiled from ``SLOTS``.
+
+    ``kinds`` codes each slot by its position in :class:`SlotKind`, ``co``
+    and ``contra`` index the covariant and contravariant slots, ``values``
+    reads the slot values in order and ``make`` rebuilds a node from them:
+    positionally when ``SLOTS`` lists the dataclass fields in order, by
+    keyword otherwise, so a reordered declaration never fills a wrong field.
+    """
+
+    __slots__ = ("kinds", "co", "contra", "values", "make")
+
+    def __init__(self, cls: type):
+        names = tuple(slot.name for slot in cls.SLOTS)
+        self.kinds = tuple(tuple(SlotKind).index(slot.kind) for slot in cls.SLOTS)
+        self.co = tuple(i for i, s in enumerate(cls.SLOTS) if s.kind is SlotKind.COVARIANT)
+        self.contra = tuple(i for i, s in enumerate(cls.SLOTS) if s.kind is SlotKind.CONTRAVARIANT)
+        get = attrgetter(*names) if names else None
+        self.values = get if len(names) > 1 else lambda node: (get(node),) if get else ()
+        ordered = is_dataclass(cls) and tuple(f.name for f in fields(cls) if not f.kw_only)
+        self.make = cls if ordered == names else lambda *vs: cls(**dict(zip(names, vs)))
+
+
+shape_of = cache(Shape)  # one shape per class, compiled on first use
+
+
+def _identity(x):
+    return x
+
+
+def map_slots(leaf: Node, co: Callable, contra: Callable, static: Callable = _identity,
+              other: Node | None = None) -> Iterator:
+    """Lazily map each slot of ``leaf``, in order, by the function for its kind.
+
+    With ``other``, a node of the same class, each function receives the
+    pair of corresponding slot values.
+    """
+    shape = shape_of(type(leaf))
+    fns = (static, co, contra)
+    if other is None:
+        return (fns[k](v) for k, v in zip(shape.kinds, shape.values(leaf)))
+    return (fns[k](v, w) for k, v, w in zip(shape.kinds, shape.values(leaf), shape.values(other)))
 
 
 class SubsumptionError(TypeError):
@@ -101,6 +146,28 @@ class Ann:
     ann: Any
 
 
+def _peel(node: Any) -> tuple[Node, list]:
+    # the constructor node and the tags and annotations around it, outermost first
+    layers = []
+    while True:
+        tag = type(node)
+        if tag is Inl or tag is Inr:
+            layers.append(node)
+            node = node.value
+        elif tag is Ann:
+            layers.append(node)
+            node = node.node
+        else:
+            return node, layers
+
+
+def _rewrap(node: Node, layers: list) -> Any:
+    for layer in reversed(layers):
+        tag = type(layer)
+        node = tag(node) if tag is not Ann else Ann(node, layer.ann)
+    return node
+
+
 def dimap(pre: Callable, post: Callable, node: Any) -> Any:
     """Map ``pre`` over the variable side and ``post`` over the children.
 
@@ -108,21 +175,15 @@ def dimap(pre: Callable, post: Callable, node: Any) -> Any:
     are mapped by ``post``, static slots are untouched.  Sums and
     annotations are preserved.
     """
-    if isinstance(node, Inl):
-        return Inl(dimap(pre, post, node.value))
-    if isinstance(node, Inr):
-        return Inr(dimap(pre, post, node.value))
-    if isinstance(node, Ann):
-        return Ann(dimap(pre, post, node.node), node.ann)
-    values = {}
-    for slot, value in node.slot_values():
-        if slot.kind is SlotKind.STATIC:
-            values[slot.name] = value
-        elif slot.kind is SlotKind.COVARIANT:
-            values[slot.name] = post(value)
-        else:
-            values[slot.name] = _compose3(post, value, pre)
-    return node.rebuild(values)
+    leaf, layers = _peel(node)
+    shape = shape_of(type(leaf))
+    values = list(shape.values(leaf))
+    for i in shape.co:
+        values[i] = post(values[i])
+    for i in shape.contra:
+        values[i] = _compose3(post, values[i], pre)
+    out = shape.make(*values)
+    return _rewrap(out, layers) if layers else out
 
 
 def _compose3(post: Callable, h: Callable, pre: Callable) -> Callable:
@@ -134,10 +195,6 @@ def fmap_co(post: Callable, node: Any) -> Any:
     return dimap(_identity, post, node)
 
 
-def _identity(x):
-    return x
-
-
 def unwrap_node(node: Any) -> tuple[Node, str, Any]:
     """Strip sum tags and annotations.
 
@@ -145,24 +202,14 @@ def unwrap_node(node: Any) -> tuple[Node, str, Any]:
     ``L``/``R`` per sum level, outermost first) and the annotation if one
     was present.
     """
-    path = []
-    ann = None
-    while True:
-        if isinstance(node, Ann):
-            ann = node.ann
-            node = node.node
-        elif isinstance(node, Inl):
-            path.append("L")
-            node = node.value
-        elif isinstance(node, Inr):
-            path.append("R")
-            node = node.value
-        else:
-            return node, "".join(path), ann
+    leaf, layers = _peel(node)
+    path = "".join("L" if type(w) is Inl else "R" for w in layers if type(w) is not Ann)
+    anns = [w.ann for w in layers if type(w) is Ann]
+    return leaf, path, anns[-1] if anns else None
 
 
 def leaf_of(node: Any) -> Node:
-    return unwrap_node(node)[0]
+    return _peel(node)[0]
 
 
 @dataclass(frozen=True)
@@ -256,26 +303,13 @@ def disequence(node: Any) -> Result:
     the unwrapped slot values is rebuilt.  Nodes with contravariant slots
     have no meaningful sequencing and raise :class:`TraversalError`.
     """
-    if isinstance(node, Inl):
-        r = disequence(node.value)
-        return Success(Inl(r.value)) if isinstance(r, Success) else r
-    if isinstance(node, Inr):
-        r = disequence(node.value)
-        return Success(Inr(r.value)) if isinstance(r, Success) else r
-    if isinstance(node, Ann):
-        r = disequence(node.node)
-        return Success(Ann(r.value, node.ann)) if isinstance(r, Success) else r
-    values = {}
-    for slot, value in node.slot_values():
-        if slot.kind is SlotKind.CONTRAVARIANT:
-            raise TraversalError(
-                f"{type(node).__name__} embeds a binder and cannot be sequenced"
-            )
-        if slot.kind is SlotKind.COVARIANT:
-            if isinstance(value, Failure):
-                return value
-            values[slot.name] = value.value
-        else:
-            values[slot.name] = value
-    return Success(node.rebuild(values))
+    leaf, layers = _peel(node)
+    shape = shape_of(type(leaf))
+    if shape.contra:
+        raise TraversalError(f"{type(leaf).__name__} embeds a binder and cannot be sequenced")
+    results = list(map_slots(leaf, _identity, _identity, Success))
+    failed = [r for r in results if isinstance(r, Failure)]
+    if failed:
+        return failed[0]
+    return Success(_rewrap(shape.make(*(r.value for r in results)), layers))
 

@@ -29,9 +29,10 @@ from .signature import (
     Ann,
     Node,
     Signature,
-    SlotKind,
     Subsumption,
     fmap_co,
+    leaf_of,
+    map_slots,
     unwrap_node,
 )
 
@@ -141,11 +142,9 @@ def iter_nodes(c: Cxt, tokens: Callable[[], Any] = _BoundToken) -> Iterator[tupl
         return
     leaf, _, ann = unwrap_node(c.node)
     yield leaf, ann
-    for slot, value in leaf.slot_values():
-        if slot.kind is SlotKind.COVARIANT:
-            yield from iter_nodes(value, tokens)
-        elif slot.kind is SlotKind.CONTRAVARIANT:
-            yield from iter_nodes(value(tokens()), tokens)
+    walk = lambda child: iter_nodes(child, tokens)
+    for nodes in map_slots(leaf, walk, lambda body: walk(body(tokens())), lambda _: ()):
+        yield from nodes
 
 
 def hole_count(c: Cxt) -> int:
@@ -154,40 +153,39 @@ def hole_count(c: Cxt) -> int:
         return 1
     if isinstance(c, Var):
         return 0
-    total = 0
-    leaf = unwrap_node(c.node)[0]
-    for slot, value in leaf.slot_values():
-        if slot.kind is SlotKind.COVARIANT:
-            total += hole_count(value)
-        elif slot.kind is SlotKind.CONTRAVARIANT:
-            total += hole_count(value(_BoundToken()))
-    return total
+    bind = lambda body: hole_count(body(_BoundToken()))
+    return sum(map_slots(leaf_of(c.node), hole_count, bind, lambda _: 0))
 
 
-def _validate(c: Cxt, in_scope: set[int]) -> None:
-    if isinstance(c, Var):
-        token = c.token
-        if not isinstance(token, _BoundToken) or id(token) not in in_scope:
-            raise ExoticTermError(
-                "Var holds a value that was not supplied by an enclosing "
-                f"binder: {token!r}"
-            )
-        return
-    if isinstance(c, Hole):
-        raise ExoticTermError("closed terms cannot contain holes")
-    if not isinstance(c, In):
-        raise ExoticTermError(f"not a context: {c!r}")
-    leaf = unwrap_node(c.node)[0]
-    for slot, value in leaf.slot_values():
-        if slot.kind is SlotKind.COVARIANT:
-            _validate(value, in_scope)
-        elif slot.kind is SlotKind.CONTRAVARIANT:
-            token = _BoundToken()
-            in_scope.add(id(token))
-            try:
-                _validate(value(token), in_scope)
-            finally:
-                in_scope.discard(id(token))
+def _validate(root: Cxt) -> None:
+    """Reject holes, foreign contexts and tokens used outside their binder."""
+    in_scope: set[int] = set()
+
+    def walk(c: Cxt) -> None:
+        if isinstance(c, In):
+            for _ in map_slots(leaf_of(c.node), walk, bind):
+                pass
+        elif isinstance(c, Var):
+            token = c.token
+            if not isinstance(token, _BoundToken) or id(token) not in in_scope:
+                raise ExoticTermError(
+                    "Var holds a value that was not supplied by an enclosing "
+                    f"binder: {token!r}"
+                )
+        elif isinstance(c, Hole):
+            raise ExoticTermError("closed terms cannot contain holes")
+        else:
+            raise ExoticTermError(f"not a context: {c!r}")
+
+    def bind(body: Callable) -> None:
+        token = _BoundToken()
+        in_scope.add(id(token))
+        try:
+            walk(body(token))
+        finally:
+            in_scope.discard(id(token))
+
+    walk(root)
 
 
 class Term:
@@ -206,7 +204,7 @@ class Term:
 
     def __init__(self, build: Callable[[], Cxt]):
         self._build = build
-        _validate(build(), set())
+        _validate(build())
 
     def preterm(self) -> Cxt:
         """Instantiate the builder once.

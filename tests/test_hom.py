@@ -1,9 +1,13 @@
 """Homomorphisms: application, fusion laws, annotation propagation."""
 from __future__ import annotations
 
+import random
+
 from conftest import results_equivalent
 from phoaskit.algebra import cata, node_count
+from phoaskit.bench import bench_term, counted, measure_term
 from phoaskit.hom import (
+    HomCases,
     annotations,
     app_hom,
     app_term_hom,
@@ -29,7 +33,7 @@ from phoaskit.lang import (
     NameStream,
 )
 from phoaskit.names import alpha_eq, preterm_eq
-from phoaskit.signature import leaf_of
+from phoaskit.signature import leaf_of, unwrap_node
 from phoaskit.surface import SrcPos, parse, parse_ann
 from phoaskit.term import Hole, In, Var
 
@@ -182,3 +186,51 @@ def test_staged_pipeline_materializes_fused_does_not(monkeypatch):
     constructed.clear()
     eval_fused(t)
     assert constructed == []
+
+
+def recording(phi):
+    """``phi`` that also records the injection path of each node it receives."""
+    paths = []
+
+    def rec(node):
+        paths.append(unwrap_node(node)[1])
+        return phi(node)
+
+    return rec, paths
+
+
+def test_retag_fast_path_agrees_with_the_general_path(corpus, ann_corpus):
+    pretty_fold = lambda phi, t: cata(phi, t)(NameStream(1))
+    for rho in (desugar_hom, identity_hom(FULL)):
+        assert isinstance(rho, HomCases)
+        opaque = lambda node, rho=rho: rho(node)
+        for t in corpus + ann_corpus[:60]:
+            pre = t.preterm()
+            assert preterm_eq(app_hom(rho, pre), app_hom(opaque, pre))
+            assert alpha_eq(app_term_hom(rho, t), app_term_hom(opaque, t))
+            for phi, fold, same in (
+                (_pretty_alg, pretty_fold, str.__eq__),
+                (eval_alg, cata, results_equivalent),
+            ):
+                if rho is not desugar_hom and phi is eval_alg:
+                    continue  # evaluation is defined on the core signature only
+                fast_phi, fast_paths = recording(phi)
+                slow_phi, slow_paths = recording(phi)
+                fast = fold(compose_alg_hom(fast_phi, rho), t)
+                slow = fold(compose_alg_hom(slow_phi, opaque), t)
+                assert same(fast, slow)
+                # the fast path hands the algebra the injected node, not the bare leaf
+                assert fast_paths == slow_paths
+                assert all(path for path in fast_paths)
+
+
+def test_retag_fast_path_keeps_one_visit_per_input_node():
+    rng = random.Random(12)
+    opaque = lambda node: desugar_hom(node)
+    for _ in range(40):
+        t = bench_term(rng, 5)
+        fast, fast_count = counted(compose_alg_hom(eval_alg, desugar_hom))
+        slow, slow_count = counted(compose_alg_hom(eval_alg, opaque))
+        assert results_equivalent(cata(fast, t), cata(slow, t))
+        assert fast_count.count == slow_count.count == node_count(t)
+        assert measure_term(t).fused_visits == node_count(t)

@@ -2,11 +2,12 @@
 from __future__ import annotations
 
 import random
+from functools import cmp_to_key
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from phoaskit.hom import app_term_hom
+from phoaskit.hom import annotations, app_term_hom
 from phoaskit.lang import (
     count_bound_var_uses,
     desugar_hom,
@@ -27,6 +28,7 @@ from phoaskit.names import (
     struct_show,
     with_name,
 )
+from phoaskit.surface import SrcPos, parse, parse_ann
 from phoaskit.term import Term
 
 
@@ -201,3 +203,29 @@ def test_struct_show_separates_inequivalent_terms(corpus):
     for _ in range(200):
         a, b = rng.choice(terms), rng.choice(terms)
         assert (struct_show(a) == struct_show(b)) == alpha_eq(a, b)
+
+
+def test_alpha_compare_orders_a_missing_annotation_first():
+    plain, annotated = parse("1"), parse_ann("1")
+    assert alpha_compare(plain, annotated) < 0 < alpha_compare(annotated, plain)
+    assert sorted([annotated, plain])[0] is plain
+    assert sorted([annotated, plain], key=cmp_to_key(alpha_compare))[0] is plain
+    assert plain < annotated and not annotated < plain and plain != annotated
+
+
+def test_alpha_compare_orders_annotations_by_type_name_then_value():
+    def tagged(ann):
+        return Term(lambda: i_plus(i_lit(1, ann=ann), i_lit(2)))
+
+    # None, then "SrcPos" < "int" < "str" by type name, then by value
+    expected = [None, SrcPos(1, 1), SrcPos(1, 5), 2, 3, "a", "b"]
+    terms = [tagged(ann) for ann in expected]
+    rng = random.Random(13)
+    for _ in range(20):
+        shuffled = terms[:]
+        rng.shuffle(shuffled)
+        assert [annotations(t)[1][1] for t in sorted(shuffled)] == expected
+    for a in terms:
+        for b in terms:
+            assert alpha_compare(a, b) == -alpha_compare(b, a)
+            assert (alpha_compare(a, b) == 0) == alpha_eq(a, b)

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
+from typing import Any, ClassVar
 
 import pytest
 from hypothesis import given
@@ -14,7 +16,9 @@ from phoaskit.signature import (
     Ann,
     Inl,
     Inr,
+    Node,
     Signature,
+    Slot,
     SlotKind,
     SubsumptionError,
     TraversalError,
@@ -22,6 +26,7 @@ from phoaskit.signature import (
     disequence,
     fmap_co,
     leaf_of,
+    shape_of,
 )
 
 ALL_CLASSES = (Lam, App, Lit, Plus, Err, Let)
@@ -217,3 +222,82 @@ def test_binder_signatures_expose_no_disequence():
         disequence(Let(Success(1), lambda x: Success(x)))
     with pytest.raises(TraversalError):
         disequence(FULL.inj(Let(Success(1), lambda x: Success(x))))
+
+
+@dataclass(frozen=True)
+class Swapped(Node):
+    """A node whose SLOTS list its fields in a different order."""
+
+    left: Any
+    right: Any
+    tag: str
+
+    SLOTS: ClassVar[tuple[Slot, ...]] = (Slot.static("tag"), Slot.co("right"), Slot.co("left"))
+
+
+def test_shape_is_positional_only_when_slots_follow_the_fields():
+    assert shape_of(Plus).make is Plus
+    assert shape_of(Let).make is Let
+    assert shape_of(Swapped).make is not Swapped
+    assert shape_of(Swapped) is shape_of(Swapped)
+
+
+def test_reordered_slots_rebuild_every_field_by_name():
+    order = []
+
+    def mark(v):
+        order.append(v)
+        return v * 10
+
+    node = Swapped(1, 2, "t")
+    assert fmap_co(mark, node) == Swapped(10, 20, "t")
+    assert order == [2, 1]  # slot order, not field order
+    assert dimap(ident, mark, Inr(Ann(node, 4))) == Inr(Ann(Swapped(10, 20, "t"), 4))
+    assert disequence(Swapped(Success(1), Success(2), "t")) == Success(node)
+    assert disequence(Swapped(Failure("l"), Failure("r"), "t")) == Failure("r")
+
+
+def bury(node, layers):
+    """Wrap ``node`` in layers given outermost first: "L", "R" or an annotation."""
+    for layer in reversed(layers):
+        node = Inl(node) if layer == "L" else Inr(node) if layer == "R" else Ann(node, layer)
+    return node
+
+
+def test_dimap_and_disequence_under_hand_built_deep_layers():
+    node = Ann(Inr(Ann(Inl(Inr(Plus(1, 2))), "b")), "a")
+    expected = Ann(Inr(Ann(Inl(Inr(Plus(10, 20))), "b")), "a")
+    assert dimap(ident, lambda v: v * 10, node) == expected
+    assert fmap_co(lambda v: v * 10, node) == expected
+    lifted = Ann(Inr(Ann(Inl(Inr(Plus(Success(1), Success(2)))), "b")), "a")
+    assert disequence(lifted) == Success(Ann(Inr(Ann(Inl(Inr(Plus(1, 2))), "b")), "a"))
+    failing = Inl(Inl(Ann(Inr(Plus(Success(1), Failure("e"))), 0)))
+    assert disequence(failing) == Failure("e")
+    assert leaf_of(node) == Plus(1, 2)
+
+
+def test_dimap_and_disequence_under_3_to_5_mixed_layers():
+    rng = random.Random(47)
+    for _ in range(200):
+        layers = [rng.choice(("L", "R", rng.randrange(100))) for _ in range(rng.randrange(3, 6))]
+        f, g = affine(rng), affine(rng)
+        a, b, n = rng.randrange(-50, 50), rng.randrange(-50, 50), rng.randrange(-50, 50)
+        assert dimap(f, g, bury(Plus(a, b), layers)) == bury(Plus(g(a), g(b)), layers)
+        assert dimap(f, g, bury(Lit(n), layers)) == bury(Lit(n), layers)
+        h = affine(rng)
+        mapped = dimap(f, g, bury(Let(a, h), layers))
+        wrapper = bury(None, layers)
+        while isinstance(mapped, (Inl, Inr, Ann)):
+            assert type(mapped) is type(wrapper)
+            if isinstance(mapped, Ann):
+                assert mapped.ann == wrapper.ann
+                mapped, wrapper = mapped.node, wrapper.node
+            else:
+                mapped, wrapper = mapped.value, wrapper.value
+        assert wrapper is None and mapped.bound == g(a)
+        assert all(mapped.body(x) == g(h(f(x))) for x in sample_args(rng))
+        lifted = bury(Plus(Success(a), Success(b)), layers)
+        assert disequence(lifted) == Success(bury(Plus(a, b), layers))
+        assert disequence(bury(Plus(Success(a), Failure("e")), layers)) == Failure("e")
+        with pytest.raises(TraversalError):
+            disequence(bury(Lam(lambda x: Success(x)), layers))
