@@ -7,7 +7,7 @@ into a result:
               Var(x) ->  x
 
 Variables evaluate to whatever carrier value their binder was applied to,
-so a fold instantiates the term's builder at the carrier type.  The
+so a fold replays the term's validated tree at the carrier type.  The
 effectful variant ``cata_m`` sequences the children's results before the
 algebra runs and is therefore restricted to binder-free signatures.
 """
@@ -17,7 +17,7 @@ from typing import Any, Callable
 
 from .result import Failure, Result, Success
 from .signature import Signature, disequence, fmap_co, leaf_of, map_slots
-from .term import Cxt, In, Term, Var
+from .term import Cxt, In, Term, Var, replay
 
 
 class MissingCaseError(LookupError):
@@ -57,8 +57,8 @@ def cata_pre(phi: Callable, c: Cxt) -> Any:
 
 
 def cata(phi: Callable, t: Term) -> Any:
-    """Fold a closed term; instantiates the builder exactly once."""
-    return cata_pre(phi, t.preterm())
+    """Fold a closed term by replaying its validated tree at the carrier."""
+    return replay(phi, t.tree)
 
 
 def free(phi: Callable, hole_fn: Callable, c: Cxt) -> Any:
@@ -117,15 +117,10 @@ def deep_project(t: Term, target: Signature) -> Term | None:
             )
         return Success(In(w.inj(leaf)))
 
-    if isinstance(cata_m(phi, t), Failure):
+    out = cata_m(phi, t)
+    if isinstance(out, Failure):
         return None
-
-    def build() -> Cxt:
-        out = cata_m(phi, t)
-        assert isinstance(out, Success)
-        return out.value
-
-    return Term(build)
+    return Term(lambda: out.value)
 
 
 def node_count(t: Term) -> int:

@@ -138,7 +138,11 @@ def strip_ann(t: Term) -> Term:
 
 
 def annotations(t: Term) -> list[tuple[str, Any]]:
-    """Preorder list of ``(constructor name, annotation)`` pairs."""
+    """Preorder list of ``(constructor name, annotation)`` pairs.
+
+    A node under several ``Ann`` layers reports the innermost one, the
+    annotation closest to the constructor; a node with none reports ``None``.
+    """
     from .term import iter_nodes
 
     return [(type(leaf).__name__, ann) for leaf, ann in iter_nodes(t.preterm())]

@@ -172,7 +172,10 @@ _desugar_alg = make_cases(
 
 
 def desugar_via_cata(t: Term) -> Term:
-    """Remove let bindings with a plain fold."""
+    """Remove let bindings with a plain fold.
+
+    Like :func:`desugar`, the result carries no source annotations.
+    """
     return Term(lambda: cata(_desugar_alg, t))
 
 
@@ -187,7 +190,13 @@ desugar_hom = HomCases({Let: _desugar_let}, CORE)
 
 
 def desugar(t: Term) -> Term:
-    """Remove let bindings in one homomorphism pass."""
+    """Remove let bindings in one homomorphism pass.
+
+    Source annotations are dropped: on ``parse_ann("let x = 1 in x + 2")``
+    :func:`~phoaskit.hom.annotations` of the result starts ``[("App",
+    None), ("Lam", None), ...]``.  To keep them, apply
+    ``lift_ann_hom(desugar_hom)`` with :func:`~phoaskit.hom.app_term_hom`.
+    """
     return app_term_hom(desugar_hom, t)
 
 
@@ -195,6 +204,10 @@ def desugar(t: Term) -> Term:
 # collapses; everything else is rebuilt untouched.
 
 def const_fold(t: Term, sig: Signature = FULL) -> Term:
+    """Collapse additions of two literals, bottom up, into ``sig``.
+
+    Every node is rebuilt in ``sig`` without its source annotation.
+    """
     w_lit = sig.witness(Lit)
 
     def fold_plus(n: Plus) -> Cxt:

@@ -13,9 +13,10 @@ import operator
 import string
 from dataclasses import dataclass
 from functools import total_ordering
+from itertools import zip_longest
 from typing import Callable, Generic, TypeVar
 
-from .signature import leaf_of, map_slots, unwrap_node
+from .signature import leaf_of, map_slots, unwrap_layers
 from .term import Cxt, In, Term, Var
 
 R = TypeVar("R")
@@ -95,9 +96,12 @@ def _peq(c1: Cxt, c2: Cxt, supply: FreshSupply) -> bool:
         return c1.token == c2.token
     if not (isinstance(c1, In) and isinstance(c2, In)):
         return False
-    leaf1, path1, ann1 = unwrap_node(c1.node)
-    leaf2, path2, ann2 = unwrap_node(c2.node)
-    if path1 != path2 or type(leaf1) is not type(leaf2) or ann1 != ann2:
+    leaf1, path1, anns1 = unwrap_layers(c1.node)
+    leaf2, path2, anns2 = unwrap_layers(c2.node)
+    if path1 != path2 or type(leaf1) is not type(leaf2):
+        return False
+    # a missing layer equals a layer annotated None, as in the order below
+    if anns1 != anns2 and any(a1 != a2 for a1, a2 in zip_longest(anns1, anns2)):
         return False
     return all(map_slots(leaf1, *_pairwise(_peq, supply), operator.eq, other=leaf2))
 
@@ -114,9 +118,10 @@ def preterm_eq(p1: Cxt, p2: Cxt) -> bool:
 def alpha_eq(t1: Term, t2: Term) -> bool:
     """Alpha-equivalence, decided at the name instantiation.
 
-    Both builders are instantiated at names; at each binder pair the two
+    Both terms are instantiated at names; at each binder pair the two
     bodies are applied to one shared fresh name, so consistently renamed
-    terms compare equal and structurally different ones do not.
+    terms compare equal and structurally different ones do not.  Nodes
+    must agree on every annotation layer.
     """
     return preterm_eq(t1.preterm(), t2.preterm())
 
@@ -138,16 +143,18 @@ def _pcompare(c1: Cxt, c2: Cxt, supply: FreshSupply) -> int:
         return _cmp(_rank(c1), _rank(c2))
     if isinstance(c1, Var):
         return _cmp(c1.token, c2.token)
-    leaf1, path1, ann1 = unwrap_node(c1.node)
-    leaf2, path2, ann2 = unwrap_node(c2.node)
+    leaf1, path1, anns1 = unwrap_layers(c1.node)
+    leaf2, path2, anns2 = unwrap_layers(c2.node)
     if path1 != path2:
         return _cmp(path1, path2)
-    # a missing annotation first, then annotations by type name, then by value
-    if ann1 != ann2:
-        rank = lambda ann: (ann is not None, type(ann).__name__)
-        order = _cmp(rank(ann1), rank(ann2)) or _cmp(ann1, ann2)
-        if order:
-            return order
+    # layer by layer, outermost first: a missing annotation first, then
+    # annotations by type name, then by value
+    for ann1, ann2 in zip_longest(anns1, anns2):
+        if ann1 != ann2:
+            rank = lambda ann: (ann is not None, type(ann).__name__)
+            order = _cmp(rank(ann1), rank(ann2)) or _cmp(ann1, ann2)
+            if order:
+                return order
     if type(leaf1) is not type(leaf2):
         return _cmp(type(leaf1).__name__, type(leaf2).__name__)
     orders = map_slots(leaf1, *_pairwise(_pcompare, supply), _cmp, other=leaf2)
@@ -157,10 +164,11 @@ def _pcompare(c1: Cxt, c2: Cxt, supply: FreshSupply) -> int:
 def alpha_compare(t1: Term, t2: Term) -> int:
     """Total order compatible with alpha-equivalence.
 
-    Lexicographic on (injection path, annotation, constructor name, slots
-    left to right); names compare by supply index.  Annotations order a
-    missing annotation first, then by the annotation's type name, then by
-    value.  Returns a negative, zero or positive int.
+    Lexicographic on (injection path, annotations, constructor name, slots
+    left to right); names compare by supply index.  Annotations compare
+    layer by layer, outermost first; in each layer a missing annotation
+    orders first, then annotations by type name, then by value.  Returns a
+    negative, zero or positive int.
     """
     p1, p2 = t1.preterm(), t2.preterm()
     return eval_fresh(FreshComp(lambda supply: _pcompare(p1, p2, supply)))

@@ -195,16 +195,21 @@ def fmap_co(post: Callable, node: Any) -> Any:
     return dimap(_identity, post, node)
 
 
-def unwrap_node(node: Any) -> tuple[Node, str, Any]:
+def unwrap_layers(node: Any) -> tuple[Node, str, tuple]:
     """Strip sum tags and annotations.
 
     Returns the underlying constructor node, its injection path (one of
-    ``L``/``R`` per sum level, outermost first) and the annotation if one
-    was present.
+    ``L``/``R`` per sum level, outermost first) and the annotations of
+    every ``Ann`` layer, outermost first.
     """
     leaf, layers = _peel(node)
     path = "".join("L" if type(w) is Inl else "R" for w in layers if type(w) is not Ann)
-    anns = [w.ann for w in layers if type(w) is Ann]
+    return leaf, path, tuple(w.ann for w in layers if type(w) is Ann)
+
+
+def unwrap_node(node: Any) -> tuple[Node, str, Any]:
+    """:func:`unwrap_layers` keeping only the innermost annotation, or ``None``."""
+    leaf, path, anns = unwrap_layers(node)
     return leaf, path, anns[-1] if anns else None
 
 

@@ -6,19 +6,22 @@ A context is built from three constructors:
 * ``Var(token)`` is a bound-variable occurrence,
 * ``Hole(payload)`` is a placeholder used only while rewriting.
 
-A *preterm* is a hole-free context.  A closed :class:`Term` packages a
-builder that produces a fresh preterm on demand; the variable type is
-whatever the consuming fold chooses to feed through the binders, which is
-what makes one term reusable as input to printing, counting, evaluation
-and equality alike.
+A *preterm* is a hole-free context.  A closed :class:`Term` is built from
+a builder that produces a preterm.  Construction runs the builder once and
+validates its output with sealed tokens, calling each binder body once;
+the walk records what it saw as a first-order validated tree, and the term
+keeps that tree instead of the builder.  A parametric term has a single
+first-order shape, so the tree can be replayed at whatever variable type
+the consuming fold chooses, which is what makes one term reusable as input
+to printing, counting, evaluation and equality alike, and no builder or
+upstream pass runs again when a term, or a term derived from it, is folded.
 
 Binders follow the smart-constructor convention: the stored slot receives
 a raw token and wraps it in ``Var`` before calling the user's body
 function, so body functions only ever see ``Var``-wrapped opaque tokens.
 Body functions must be pure, total and must not inspect their argument;
-:class:`Term` construction walks the built preterm with sealed tokens and
-rejects anything that smuggles a foreign value into ``Var`` or lets a
-token escape its binder's scope.
+validation rejects anything that smuggles a foreign value into ``Var`` or
+lets a token escape its binder's scope.
 """
 from __future__ import annotations
 
@@ -27,12 +30,15 @@ from typing import Any, Callable, Iterator
 
 from .signature import (
     Ann,
+    Inl,
+    Inr,
     Node,
     Signature,
     Subsumption,
     fmap_co,
     leaf_of,
     map_slots,
+    shape_of,
     unwrap_node,
 )
 
@@ -157,62 +163,125 @@ def hole_count(c: Cxt) -> int:
     return sum(map_slots(leaf_of(c.node), hole_count, bind, lambda _: 0))
 
 
-def _validate(root: Cxt) -> None:
-    """Reject holes, foreign contexts and tokens used outside their binder."""
+def _validate(root: Cxt) -> Any:
+    """Reject holes, foreign contexts and tokens used outside their binder.
+
+    Returns the validated tree: a variable occurrence is its sealed token,
+    and a node is ``(shape, values, tags)`` where ``values`` holds static
+    payloads as they are, children as trees and each binder as ``(token,
+    tree of its body)``, and ``tags`` holds the ``(type, ann)`` pairs of
+    the sum tags and annotations around the node, innermost first.  None
+    of the built preterm's own objects is kept.
+    """
     in_scope: set[int] = set()
 
-    def walk(c: Cxt) -> None:
+    def walk(c: Cxt) -> Any:
         if isinstance(c, In):
-            for _ in map_slots(leaf_of(c.node), walk, bind):
-                pass
-        elif isinstance(c, Var):
+            node, tags = c.node, []
+            while True:
+                tag = type(node)
+                if tag is Inl or tag is Inr:
+                    tags.append((tag, None))
+                    node = node.value
+                elif tag is Ann:
+                    tags.append((Ann, node.ann))
+                    node = node.node
+                else:
+                    break
+            tags.reverse()
+            shape = shape_of(tag)
+            values = shape.values(node)
+            if shape.co or shape.contra:
+                values = list(values)
+                for i in range(len(values)):  # in slot order, so bodies run in that order
+                    if i in shape.co:
+                        values[i] = walk(values[i])
+                    elif i in shape.contra:
+                        values[i] = bind(values[i])
+                values = tuple(values)
+            return shape, values, tuple(tags)
+        if isinstance(c, Var):
             token = c.token
             if not isinstance(token, _BoundToken) or id(token) not in in_scope:
                 raise ExoticTermError(
                     "Var holds a value that was not supplied by an enclosing "
                     f"binder: {token!r}"
                 )
-        elif isinstance(c, Hole):
+            return token
+        if isinstance(c, Hole):
             raise ExoticTermError("closed terms cannot contain holes")
-        else:
-            raise ExoticTermError(f"not a context: {c!r}")
+        raise ExoticTermError(f"not a context: {c!r}")
 
-    def bind(body: Callable) -> None:
+    def bind(body: Callable) -> tuple[_BoundToken, Any]:
         token = _BoundToken()
         in_scope.add(id(token))
         try:
-            walk(body(token))
+            return token, walk(body(token))
         finally:
             in_scope.discard(id(token))
 
-    walk(root)
+    return walk(root)
+
+
+def replay(phi: Callable, tree: Any, arg: Callable | None = None) -> Any:
+    """Fold a validated tree: each node, rebuilt with its tags, goes to ``phi``.
+
+    Children are folded first; a binder becomes a function whose argument,
+    passed through ``arg`` when given, is what the binder's occurrences
+    fold to.  One Python frame per covariant level.
+    """
+
+    def walk(rec: Any, env: dict) -> Any:
+        if type(rec) is _BoundToken:
+            return env[rec]
+        shape, values, tags = rec
+        if shape.co or shape.contra:
+            values = list(values)
+            for i in shape.co:
+                values[i] = walk(values[i], env)
+            for i in shape.contra:
+                values[i] = binder(values[i], env)
+        node = shape.make(*values)
+        for tag, ann in tags:
+            node = tag(node) if tag is not Ann else Ann(node, ann)
+        return phi(node)
+
+    def binder(bound: tuple, env: dict) -> Callable:
+        token, body = bound
+        if arg is None:
+            return lambda x: walk(body, {**env, token: x})
+        return lambda x: walk(body, {**env, token: arg(x)})
+
+    return walk(tree, {})
 
 
 class Term:
-    """A closed term: a builder producing a fresh preterm per fold.
+    """A closed term: the tree its builder produced, validated once.
 
-    The builder plays the role of quantification over the variable type:
-    folds instantiate it at their carrier, equality and printing at names.
-    Construction validates the built preterm once with sealed tokens; the
-    three classic exotic shapes (a concrete payload under ``Var``, a body
-    that folds its argument, a body that case-splits on its argument) are
-    thereby either rejected outright or rendered inert, since bodies only
-    ever receive an opaque token wrapped in ``Var``.
+    Construction runs the builder once and walks the built preterm with
+    sealed tokens, calling every binder body once; the walk keeps a
+    first-order record of what it saw (see :func:`_validate`) and the
+    builder is dropped.  That record is the term: a parametric term has
+    one first-order shape, so folds replay it at whatever carrier they
+    choose (:func:`replay`), and no builder or upstream pass runs again.
+    The three classic exotic shapes (a concrete payload under ``Var``, a
+    body that folds its argument, a body that case-splits on its argument)
+    are thereby either rejected outright or rendered inert, since bodies
+    only ever receive an opaque token wrapped in ``Var``.
     """
 
-    __slots__ = ("_build",)
+    __slots__ = ("tree",)
 
     def __init__(self, build: Callable[[], Cxt]):
-        self._build = build
-        _validate(build())
+        self.tree = _validate(build())
 
     def preterm(self) -> Cxt:
-        """Instantiate the builder once.
+        """Rebuild a fresh preterm from the validated tree.
 
         The result's ``Var`` tokens are whatever the caller feeds through
         the binder slots; treat tokens as opaque.
         """
-        return self._build()
+        return replay(In, self.tree, Var)
 
     # terms compare and order up to alpha-equivalence, the only sensible
     # equality for a binder representation built from functions

@@ -155,9 +155,8 @@ def random_arith(rng: random.Random, depth: int, sig: Signature = ARITH, err: bo
 def arith_term(rng: random.Random, depth: int, sig: Signature = ARITH, err: bool = True) -> Term:
     """Closed term over the arithmetic signature.
 
-    Binder-free preterms carry no closures, so the builder can replay one
-    generated instance; generating inside the builder would make the term
-    change between instantiations.
+    A term keeps the tree its builder returned at construction, and the
+    builder runs only then, so it hands back this one generated instance.
     """
     pre = random_arith(rng, depth, sig, err)
     return Term(lambda: pre)

@@ -69,8 +69,9 @@ def test_cata_instantiates_builder_once_and_visits_every_node():
         return sum_alg(node)
 
     t = Term(build)
-    builds.clear()
+    assert len(builds) == 1  # construction runs the builder once
     assert cata(counting, t) == 6
+    t.preterm()
     assert len(builds) == 1
     assert len(visits) == node_count(t) == 5
 

@@ -234,3 +234,18 @@ def test_retag_fast_path_keeps_one_visit_per_input_node():
         assert results_equivalent(cata(fast, t), cata(slow, t))
         assert fast_count.count == slow_count.count == node_count(t)
         assert measure_term(t).fused_visits == node_count(t)
+
+
+def test_stacked_stages_apply_each_rule_once_per_node():
+    t = parse("let x = 1 + 2 in (\\y. y + x) 3 + (\\z. z) 4")
+    t = app_term_hom(desugar_hom, t)
+    n = node_count(t)
+    for k in (1, 4, 8):
+        stages = [counted(identity_hom(CORE)) for _ in range(k)]
+        out = t
+        for rho, _ in stages:
+            out = app_term_hom(rho, out)
+        # each stage ran once, at its construction; no later stage reruns it
+        assert [counter.count for _, counter in stages] == [n] * k
+        assert alpha_eq(out, t)
+        assert [counter.count for _, counter in stages] == [n] * k

@@ -1,6 +1,8 @@
 """The language passes: printing, desugaring, folding, evaluation."""
 from __future__ import annotations
 
+import sys
+
 from conftest import results_equivalent
 from phoaskit.lang import (
     CORE,
@@ -175,3 +177,20 @@ def test_count_bound_var_uses_examples():
     assert count_bound_var_uses(example_term()) == 2
     letter = Term(lambda: i_let(i_lit(1), lambda x: i_plus(x, i_plus(x, x))))
     assert count_bound_var_uses(letter) == 3
+
+
+def test_long_left_nested_sum_folds_under_the_default_recursion_limit():
+    def chain():
+        c = i_lit(1)
+        for _ in range(500):
+            c = i_plus(c, i_lit(1))
+        return c
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        t = Term(chain)
+        assert eval_cbv(t) == Success(IntV(501))
+        assert pretty(t) == "(" * 500 + "1" + " + 1)" * 500
+    finally:
+        sys.setrecursionlimit(limit)

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from phoaskit.hom import annotations, app_term_hom
 from phoaskit.lang import (
+    FULL,
+    Lit,
     count_bound_var_uses,
     desugar_hom,
     example_term,
@@ -29,7 +31,8 @@ from phoaskit.names import (
     with_name,
 )
 from phoaskit.surface import SrcPos, parse, parse_ann
-from phoaskit.term import Term
+from phoaskit.signature import Ann
+from phoaskit.term import In, Term
 
 
 def lam(f):
@@ -229,3 +232,17 @@ def test_alpha_compare_orders_annotations_by_type_name_then_value():
         for b in terms:
             assert alpha_compare(a, b) == -alpha_compare(b, a)
             assert (alpha_compare(a, b) == 0) == alpha_eq(a, b)
+
+
+def test_alpha_compare_reads_every_annotation_layer():
+    def nested(outer):
+        return Term(lambda: In(Ann(Ann(FULL.inj(Lit(1)), "inner"), outer)))
+
+    one, two = nested("outer1"), nested("outer2")
+    assert not alpha_eq(one, two)
+    assert alpha_compare(one, two) < 0 < alpha_compare(two, one)
+    assert alpha_eq(one, nested("outer1")) and alpha_compare(one, nested("outer1")) == 0
+    # outermost layer first: "inner" alone sorts before "outer1" over "inner"
+    inner = Term(lambda: In(Ann(FULL.inj(Lit(1)), "inner")))
+    assert alpha_compare(inner, one) < 0 < alpha_compare(one, inner)
+    assert annotations(one) == [("Lit", "inner")]

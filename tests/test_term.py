@@ -1,12 +1,13 @@
 """Contexts, closed terms, and the exotic-shape exclusions."""
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
 from conftest import make_corpus
-from phoaskit.algebra import cata_pre
+from phoaskit.algebra import cata, cata_pre
 from phoaskit.lang import (
     CORE,
     FULL,
@@ -19,7 +20,9 @@ from phoaskit.lang import (
     i_let,
     i_lit,
     i_plus,
+    pretty,
 )
+from phoaskit.signature import leaf_of
 from phoaskit.term import (
     ExoticTermError,
     Hole,
@@ -161,9 +164,11 @@ def test_term_builder_runs_once_per_instantiation():
         return i_lit(3)
 
     t = Term(build)
-    base = len(calls)  # construction validates once
+    assert len(calls) == 1  # construction validates the one built preterm
     t.preterm()
-    assert len(calls) == base + 1
+    t.preterm()
+    assert cata(count_alg, t) == 0
+    assert len(calls) == 1
 
 
 # The three classic exotic shapes.
@@ -241,3 +246,13 @@ def test_iter_nodes_walks_each_binder_body_once():
     )
     names = [type(leaf).__name__ for leaf, _ in iter_nodes(t.preterm())]
     assert names == ["Let", "Lit", "App", "Lam", "Plus", "Lit"]
+
+
+def test_folds_see_the_validated_tree_of_a_changing_builder():
+    counter = itertools.count()
+    t = Term(lambda: i_lit(next(counter)))
+    for _ in range(3):
+        assert cata(lambda node: leaf_of(node).value, t) == 0
+        assert [leaf.value for leaf, _ in iter_nodes(t.preterm())] == [0]
+        assert pretty(t) == "0"
+    assert next(counter) == 1
