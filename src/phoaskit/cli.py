@@ -15,12 +15,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bench import bench_json
 from .lang import CORE, FunV, IntV, const_fold, desugar, eval_cbv, eval_fused, pretty
 from .names import alpha_eq, struct_show
 from .result import Failure
 from .surface import ParseError, parse
-from .typed import typed_demo
 
 EXIT_OK = 0
 EXIT_EVAL = 1
@@ -130,9 +128,13 @@ def _dispatch(args: argparse.Namespace) -> int:
         print("equal" if alpha_eq(t1, t2) else "not equal")
         return EXIT_OK
     if command == "bench":
+        from .bench import bench_json
+
         print(bench_json(depth=args.depth, count=args.count, seed=args.seed))
         return EXIT_OK
     if command == "typed-demo":
+        from .typed import typed_demo
+
         print(typed_demo())
         return EXIT_OK
     raise AssertionError(f"unhandled command {command}")

@@ -19,10 +19,11 @@ lift over annotated signatures, propagating each source node's annotation
 onto every node the rule produced.
 
 A :class:`HomCases` rule table re-tags every constructor it has no rule
-for into its target signature.  ``app_hom`` and ``compose_alg_hom`` send
-such a node, its slots already mapped, straight to ``In(target.inj(leaf))``
-or ``phi(target.inj(leaf))``, skipping the context of holes that the
-general path builds and merges away again; other callables take that path.
+for into its target signature.  ``app_hom``, ``app_term_hom`` and
+``compose_alg_hom`` send such a node, its slots already mapped, straight
+to ``In(target.inj(leaf))`` or ``phi(target.inj(leaf))``, skipping the
+context of holes that the general path builds and merges away again;
+other callables take that path.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from typing import Any, Callable
 
 from .algebra import free
 from .signature import Ann, Signature, fmap_co, leaf_of
-from .term import Cxt, Hole, In, Term, app_cxt
+from .term import Cxt, Hole, In, Term, Var, app_cxt, replay
 
 
 class HomCases:
@@ -53,21 +54,37 @@ class HomCases:
         return In(fmap_co(Hole, self.target.inj(leaf))) if rule is None else rule(leaf)
 
 
+def _hom_step(rho: Callable[[Any], Cxt]) -> Callable[[Any], Cxt]:
+    # one node, its children already mapped, to its merged target context
+    if not isinstance(rho, HomCases):
+        return lambda node: app_cxt(rho(node))
+
+    def step(node) -> Cxt:
+        leaf = leaf_of(node)
+        rule = rho.cases.get(type(leaf))
+        return In(rho.target.inj(leaf)) if rule is None else app_cxt(rule(leaf))
+
+    return step
+
+
 def app_hom(rho: Callable[[Any], Cxt], c: Cxt) -> Cxt:
     """Apply a homomorphism to a context (or preterm)."""
-    if not isinstance(c, In):
-        return c
-    walk = lambda child: app_hom(rho, child)
-    if not isinstance(rho, HomCases):
-        return app_cxt(rho(fmap_co(walk, c.node)))
-    leaf = fmap_co(walk, leaf_of(c.node))
-    rule = rho.cases.get(type(leaf))
-    return In(rho.target.inj(leaf)) if rule is None else app_cxt(rule(leaf))
+    step = _hom_step(rho)
+
+    def walk(c: Cxt) -> Cxt:
+        return step(fmap_co(walk, c.node)) if isinstance(c, In) else c
+
+    return walk(c)
 
 
 def app_term_hom(rho: Callable[[Any], Cxt], t: Term) -> Term:
-    """Apply a homomorphism underneath the closed-term wrapper."""
-    return Term(lambda: app_hom(rho, t.preterm()))
+    """Apply a homomorphism underneath the closed-term wrapper.
+
+    The source's stored tree is folded once (:func:`~phoaskit.term.replay`),
+    one Python frame per covariant level.
+    """
+    step = _hom_step(rho)
+    return Term(lambda: replay(step, t.tree, Var))
 
 
 def compose_hom(rho1: Callable, rho2: Callable) -> Callable[[Any], Cxt]:

@@ -1,25 +1,27 @@
-"""Fresh names and the name-instantiated views of closed terms.
+"""Alpha-equivalence, a total order and structural printing of closed terms.
 
-Binders store functions, so comparing or printing two terms means turning
-the elusive function representation into something concrete: instantiate
-both terms at the opaque :class:`Name` type, and at each binder apply the
-bodies to one shared fresh name.  A deterministic supply makes the
-results reproducible; alpha-equivalent terms receive identical names and
-therefore compare equal and print identically.
+Binders store functions, so comparing or printing terms means turning the
+elusive function representation into something concrete: instantiate the
+term at names, one fresh name per binder.  A :class:`~phoaskit.term.Term`
+already keeps the first-order tree that its validation walked, with every
+binder as the sealed token its body was applied to, so this module reads
+that tree and numbers the binders 1, 2, ... in slot order, the canonical
+supply of fresh names.  One walk produces a flat preorder key of the term:
+alpha-equivalent terms, and only they, get equal keys, so equality is key
+equality, the order is key order and ``hash(term)`` is the hash of the key.
+A second walk over the same tree prints the term with those names.
 """
 from __future__ import annotations
 
-import operator
 import string
 from dataclasses import dataclass
 from functools import total_ordering
-from itertools import zip_longest
-from typing import Callable, Generic, TypeVar
+from typing import Any
 
-from .signature import leaf_of, map_slots, unwrap_layers
-from .term import Cxt, In, Term, Var
+from .signature import Ann, Inl
+from .term import Cxt, Term, _BoundToken, _validate
 
-R = TypeVar("R")
+_CO, _CONTRA = 1, 2  # codes of the covariant and contravariant slots in Shape.kinds
 
 
 @total_ordering
@@ -42,162 +44,111 @@ class Name:
         return self.index < other.index
 
 
-class FreshSupply:
-    """Hands out pairwise-distinct names: a, b, ..., z, a1, b1, ..."""
+def _key(tree: Any) -> tuple:
+    """The canonical key of a validated tree (see ``term._validate``).
 
-    def __init__(self) -> None:
-        self._next = 1
+    A flat preorder tuple.  A variable is ``0`` and the number of its
+    binder, binders being numbered 1, 2, ... in slot order.  A node is
+    ``1``, its injection path (``L``/``R`` per sum level, outermost first),
+    the tuple of its annotation layers (outermost first, each as ``(ann is
+    not None, type name, ann)``, trailing ``None`` layers dropped), its
+    constructor name, and then its slots in order: static values as they
+    are, children and binder bodies as keys.  The constructor fixes the
+    number of slots, so the key of a node ends where its last slot does,
+    and comparing keys compares terms lexicographically node by node.
+    """
+    key: list = []
+    numbers: dict = {}
 
-    def fresh(self) -> Name:
-        name = Name(self._next)
-        self._next += 1
-        return name
+    def walk(rec: Any) -> None:
+        if type(rec) is _BoundToken:
+            key.extend((0, numbers[rec]))
+            return
+        shape, values, tags = rec
+        path, anns = "", []
+        for tag, ann in tags:  # innermost first
+            if tag is Ann:
+                anns.append(ann)
+            else:
+                path = ("L" if tag is Inl else "R") + path
+        while anns and anns[0] is None:
+            del anns[0]
+        layers = tuple((ann is not None, type(ann).__name__, ann) for ann in reversed(anns))
+        key.extend((1, path, layers, shape.name))
+        for kind, value in zip(shape.kinds, values):
+            if kind == _CO:
+                walk(value)
+            elif kind == _CONTRA:
+                token, body = value
+                numbers[token] = len(numbers) + 1
+                walk(body)
+            else:
+                key.append(value)
 
-
-class FreshComp(Generic[R]):
-    """A computation with access to a supply of fresh names."""
-
-    __slots__ = ("_run",)
-
-    def __init__(self, run: Callable[[FreshSupply], R]):
-        self._run = run
-
-    def run(self, supply: FreshSupply) -> R:
-        return self._run(supply)
-
-
-def pure(value: R) -> FreshComp[R]:
-    return FreshComp(lambda _supply: value)
-
-
-def with_name(k: Callable[[Name], FreshComp[R]]) -> FreshComp[R]:
-    """Provide a fresh name to the continuation."""
-    return FreshComp(lambda supply: k(supply.fresh()).run(supply))
-
-
-def eval_fresh(comp: FreshComp[R]) -> R:
-    """Run a computation against the canonical supply."""
-    return comp.run(FreshSupply())
-
-
-def _pairwise(walk: Callable, supply: FreshSupply) -> tuple[Callable, Callable]:
-    """Slot functions walking two children, or two binder bodies applied
-    to one shared fresh name."""
-
-    def bodies(body1, body2):
-        x = supply.fresh()
-        return walk(body1(x), body2(x), supply)
-
-    return lambda c1, c2: walk(c1, c2, supply), bodies
-
-
-def _peq(c1: Cxt, c2: Cxt, supply: FreshSupply) -> bool:
-    if isinstance(c1, Var) and isinstance(c2, Var):
-        return c1.token == c2.token
-    if not (isinstance(c1, In) and isinstance(c2, In)):
-        return False
-    leaf1, path1, anns1 = unwrap_layers(c1.node)
-    leaf2, path2, anns2 = unwrap_layers(c2.node)
-    if path1 != path2 or type(leaf1) is not type(leaf2):
-        return False
-    # a missing layer equals a layer annotated None, as in the order below
-    if anns1 != anns2 and any(a1 != a2 for a1, a2 in zip_longest(anns1, anns2)):
-        return False
-    return all(map_slots(leaf1, *_pairwise(_peq, supply), operator.eq, other=leaf2))
+    walk(tree)
+    return tuple(key)
 
 
 def preterm_eq(p1: Cxt, p2: Cxt) -> bool:
-    """Structural equality of two preterms at the name instantiation.
-
-    Binder pairs are applied to one shared fresh name from the canonical
-    supply, so the comparison is exact on everything the supply reaches.
-    """
-    return eval_fresh(FreshComp(lambda supply: _peq(p1, p2, supply)))
+    """Alpha-equivalence of two closed preterms: both are validated as a
+    :class:`~phoaskit.term.Term` would be, then their keys compared."""
+    return _key(_validate(p1)) == _key(_validate(p2))
 
 
 def alpha_eq(t1: Term, t2: Term) -> bool:
-    """Alpha-equivalence, decided at the name instantiation.
+    """Alpha-equivalence: equality of the two terms' keys.
 
-    Both terms are instantiated at names; at each binder pair the two
-    bodies are applied to one shared fresh name, so consistently renamed
-    terms compare equal and structurally different ones do not.  Nodes
-    must agree on every annotation layer.
+    Consistently renamed terms compare equal and structurally different
+    ones do not.  Nodes must agree on every annotation layer, by the type
+    name and the value of each annotation.
     """
-    return preterm_eq(t1.preterm(), t2.preterm())
-
-
-_LT, _EQ, _GT = -1, 0, 1
-
-
-def _cmp(a, b) -> int:
-    return _LT if a < b else (_GT if a > b else _EQ)
-
-
-def _rank(c: Cxt) -> int:
-    # variables order before constructor nodes; a documented choice
-    return 0 if isinstance(c, Var) else 1
-
-
-def _pcompare(c1: Cxt, c2: Cxt, supply: FreshSupply) -> int:
-    if _rank(c1) != _rank(c2):
-        return _cmp(_rank(c1), _rank(c2))
-    if isinstance(c1, Var):
-        return _cmp(c1.token, c2.token)
-    leaf1, path1, anns1 = unwrap_layers(c1.node)
-    leaf2, path2, anns2 = unwrap_layers(c2.node)
-    if path1 != path2:
-        return _cmp(path1, path2)
-    # layer by layer, outermost first: a missing annotation first, then
-    # annotations by type name, then by value
-    for ann1, ann2 in zip_longest(anns1, anns2):
-        if ann1 != ann2:
-            rank = lambda ann: (ann is not None, type(ann).__name__)
-            order = _cmp(rank(ann1), rank(ann2)) or _cmp(ann1, ann2)
-            if order:
-                return order
-    if type(leaf1) is not type(leaf2):
-        return _cmp(type(leaf1).__name__, type(leaf2).__name__)
-    orders = map_slots(leaf1, *_pairwise(_pcompare, supply), _cmp, other=leaf2)
-    return next((order for order in orders if order != _EQ), _EQ)
+    return _key(t1.tree) == _key(t2.tree)
 
 
 def alpha_compare(t1: Term, t2: Term) -> int:
-    """Total order compatible with alpha-equivalence.
+    """Total order compatible with alpha-equivalence: the order of the keys.
 
     Lexicographic on (injection path, annotations, constructor name, slots
-    left to right); names compare by supply index.  Annotations compare
-    layer by layer, outermost first; in each layer a missing annotation
-    orders first, then annotations by type name, then by value.  Returns a
-    negative, zero or positive int.
+    left to right), with variables before constructor nodes and names by
+    supply index.  Annotations compare layer by layer, outermost first; in
+    each layer a missing annotation orders first, then annotations by type
+    name, then by value.  Two annotations are equal only when their type
+    names and their values are: ``True`` and ``1`` differ, and ``True``
+    orders first, since ``"bool" < "int"``.  Returns a negative, zero or
+    positive int.
     """
-    p1, p2 = t1.preterm(), t2.preterm()
-    return eval_fresh(FreshComp(lambda supply: _pcompare(p1, p2, supply)))
+    k1, k2 = _key(t1.tree), _key(t2.tree)
+    return 0 if k1 == k2 else (-1 if k1 < k2 else 1)
 
 
 def _atom(text: str) -> str:
     return text if " " not in text else f"({text})"
 
 
-def _pshow(c: Cxt, supply: FreshSupply) -> str:
-    if isinstance(c, Var):
-        return str(c.token)
-    leaf = leaf_of(c.node)
-
-    def binder(body):
-        x = supply.fresh()
-        return f"(\\{x} -> {_pshow(body(x), supply)})"
-
-    child = lambda c: _atom(_pshow(c, supply))
-    parts = map_slots(leaf, child, binder, lambda value: _atom(str(value)))
-    return " ".join([type(leaf).__name__, *parts])
-
-
 def struct_show(t: Term) -> str:
     """Constructor-applied rendering with fresh names for binders.
 
     Arguments are parenthesized when compound; a binder slot prints as
-    ``(\\a -> body)``.  Annotations do not participate; strip them first
-    if a plain rendering of an annotated term is wanted.
+    ``(\\a -> body)``, with names in the key's binder order.  Annotations
+    do not participate; strip them first if a plain rendering of an
+    annotated term is wanted.
     """
-    pre = t.preterm()
-    return eval_fresh(FreshComp(lambda supply: _pshow(pre, supply)))
+    names: dict = {}
+
+    def show(rec: Any) -> str:
+        if type(rec) is _BoundToken:
+            return names[rec]
+        shape, values, _ = rec
+        parts = [shape.name]
+        for kind, value in zip(shape.kinds, values):
+            if kind == _CO:
+                parts.append(_atom(show(value)))
+            elif kind == _CONTRA:
+                token, body = value
+                name = names[token] = Name(len(names) + 1).render()
+                parts.append(f"(\\{name} -> {show(body)})")
+            else:
+                parts.append(_atom(str(value)))
+        return " ".join(parts)
+
+    return show(t.tree)

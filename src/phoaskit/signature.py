@@ -75,16 +75,18 @@ class Node:
 class Shape:
     """The slot layout of one constructor class, compiled from ``SLOTS``.
 
-    ``kinds`` codes each slot by its position in :class:`SlotKind`, ``co``
-    and ``contra`` index the covariant and contravariant slots, ``values``
-    reads the slot values in order and ``make`` rebuilds a node from them:
-    positionally when ``SLOTS`` lists the dataclass fields in order, by
-    keyword otherwise, so a reordered declaration never fills a wrong field.
+    ``name`` is the class name, ``kinds`` codes each slot by its position
+    in :class:`SlotKind`, ``co`` and ``contra`` index the covariant and
+    contravariant slots, ``values`` reads the slot values in order and
+    ``make`` rebuilds a node from them: positionally when ``SLOTS`` lists
+    the dataclass fields in order, by keyword otherwise, so a reordered
+    declaration never fills a wrong field.
     """
 
-    __slots__ = ("kinds", "co", "contra", "values", "make")
+    __slots__ = ("name", "kinds", "co", "contra", "values", "make")
 
     def __init__(self, cls: type):
+        self.name = cls.__name__
         names = tuple(slot.name for slot in cls.SLOTS)
         self.kinds = tuple(tuple(SlotKind).index(slot.kind) for slot in cls.SLOTS)
         self.co = tuple(i for i, s in enumerate(cls.SLOTS) if s.kind is SlotKind.COVARIANT)
@@ -102,18 +104,11 @@ def _identity(x):
     return x
 
 
-def map_slots(leaf: Node, co: Callable, contra: Callable, static: Callable = _identity,
-              other: Node | None = None) -> Iterator:
-    """Lazily map each slot of ``leaf``, in order, by the function for its kind.
-
-    With ``other``, a node of the same class, each function receives the
-    pair of corresponding slot values.
-    """
+def map_slots(leaf: Node, co: Callable, contra: Callable, static: Callable = _identity) -> Iterator:
+    """Lazily map each slot of ``leaf``, in order, by the function for its kind."""
     shape = shape_of(type(leaf))
     fns = (static, co, contra)
-    if other is None:
-        return (fns[k](v) for k, v in zip(shape.kinds, shape.values(leaf)))
-    return (fns[k](v, w) for k, v, w in zip(shape.kinds, shape.values(leaf), shape.values(other)))
+    return (fns[k](v) for k, v in zip(shape.kinds, shape.values(leaf)))
 
 
 class SubsumptionError(TypeError):
@@ -195,21 +190,16 @@ def fmap_co(post: Callable, node: Any) -> Any:
     return dimap(_identity, post, node)
 
 
-def unwrap_layers(node: Any) -> tuple[Node, str, tuple]:
+def unwrap_node(node: Any) -> tuple[Node, str, Any]:
     """Strip sum tags and annotations.
 
     Returns the underlying constructor node, its injection path (one of
-    ``L``/``R`` per sum level, outermost first) and the annotations of
-    every ``Ann`` layer, outermost first.
+    ``L``/``R`` per sum level, outermost first) and the innermost
+    annotation, or ``None``.
     """
     leaf, layers = _peel(node)
     path = "".join("L" if type(w) is Inl else "R" for w in layers if type(w) is not Ann)
-    return leaf, path, tuple(w.ann for w in layers if type(w) is Ann)
-
-
-def unwrap_node(node: Any) -> tuple[Node, str, Any]:
-    """:func:`unwrap_layers` keeping only the innermost annotation, or ``None``."""
-    leaf, path, anns = unwrap_layers(node)
+    anns = [w.ann for w in layers if type(w) is Ann]
     return leaf, path, anns[-1] if anns else None
 
 

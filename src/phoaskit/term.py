@@ -283,39 +283,36 @@ class Term:
         """
         return replay(In, self.tree, Var)
 
-    # terms compare and order up to alpha-equivalence, the only sensible
-    # equality for a binder representation built from functions
+    # terms compare, order and hash by their alpha key (see phoaskit.names),
+    # the only sensible equality for a binder representation built from functions
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Term):
             return NotImplemented
-        from .names import alpha_eq
-
-        return alpha_eq(self, other)
+        return _alpha_key(self) == _alpha_key(other)
 
     def __lt__(self, other: "Term") -> bool:
-        from .names import alpha_compare
-
-        return alpha_compare(self, other) < 0
+        return _alpha_key(self) < _alpha_key(other)
 
     def __le__(self, other: "Term") -> bool:
-        from .names import alpha_compare
-
-        return alpha_compare(self, other) <= 0
+        return _alpha_key(self) <= _alpha_key(other)
 
     def __gt__(self, other: "Term") -> bool:
-        from .names import alpha_compare
-
-        return alpha_compare(self, other) > 0
+        return _alpha_key(self) > _alpha_key(other)
 
     def __ge__(self, other: "Term") -> bool:
-        from .names import alpha_compare
+        return _alpha_key(self) >= _alpha_key(other)
 
-        return alpha_compare(self, other) >= 0
-
-    __hash__ = None  # alpha-classes have no cheap canonical key
+    def __hash__(self) -> int:
+        return hash(_alpha_key(self))
 
     def __repr__(self) -> str:
         from .names import struct_show
 
         return f"Term({struct_show(self)})"
+
+
+def _alpha_key(t: Term) -> tuple:
+    from .names import _key
+
+    return _key(t.tree)

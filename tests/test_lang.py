@@ -24,7 +24,7 @@ from phoaskit.lang import (
     i_plus,
     pretty,
 )
-from phoaskit.names import alpha_eq
+from phoaskit.names import alpha_eq, struct_show
 from phoaskit.result import Failure, Success
 from phoaskit.term import Term, iter_nodes
 
@@ -191,6 +191,10 @@ def test_long_left_nested_sum_folds_under_the_default_recursion_limit():
     try:
         t = Term(chain)
         assert eval_cbv(t) == Success(IntV(501))
+        assert eval_cbv(desugar(t)) == Success(IntV(501))
         assert pretty(t) == "(" * 500 + "1" + " + 1)" * 500
+        shown = "Plus (" * 499 + "Plus (Lit 1) (Lit 1)" + ") (Lit 1)" * 499
+        assert struct_show(t) == shown
+        assert alpha_eq(t, Term(chain))
     finally:
         sys.setrecursionlimit(limit)

@@ -1,12 +1,15 @@
-"""Fresh names, alpha-equivalence, ordering and structural printing."""
+"""Names, alpha-equivalence, ordering, hashing and structural printing."""
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from functools import cmp_to_key
+from itertools import product
 
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import random_named, rename_binders
 from phoaskit.hom import annotations, app_term_hom
 from phoaskit.lang import (
     FULL,
@@ -20,45 +23,26 @@ from phoaskit.lang import (
     i_plus,
     pretty,
 )
-from phoaskit.names import (
-    FreshComp,
-    Name,
-    alpha_compare,
-    alpha_eq,
-    eval_fresh,
-    pure,
-    struct_show,
-    with_name,
+from phoaskit.names import Name, alpha_compare, alpha_eq, struct_show
+from phoaskit.surface import (
+    NApp,
+    NErr,
+    NLam,
+    NLet,
+    NLit,
+    NPlus,
+    NVar,
+    SrcPos,
+    parse,
+    parse_ann,
+    term_of_named,
 )
-from phoaskit.surface import SrcPos, parse, parse_ann
 from phoaskit.signature import Ann
 from phoaskit.term import In, Term
 
 
 def lam(f):
     return Term(lambda: i_lam(f))
-
-
-def test_with_name_provides_distinct_names():
-    comp = with_name(lambda n: with_name(lambda m: pure(n != m)))
-    assert eval_fresh(comp) is True
-
-
-def test_eval_fresh_runs_the_canonical_supply():
-    assert eval_fresh(pure("r")) == "r"
-    assert eval_fresh(with_name(lambda n: pure(str(n)))) == "a"
-    first = eval_fresh(with_name(lambda n: pure(n)))
-    assert first == eval_fresh(with_name(lambda n: pure(n)))
-
-
-def test_nested_scopes_consume_one_name_each():
-    def nest(depth):
-        if depth == 0:
-            return FreshComp(lambda supply: supply._next - 1)
-        return with_name(lambda _n: nest(depth - 1))
-
-    for d in (0, 1, 2, 5, 9):
-        assert eval_fresh(nest(d)) == d
 
 
 @given(st.integers(1, 2000), st.integers(1, 2000))
@@ -192,6 +176,8 @@ def test_term_operators_follow_the_alpha_relation():
     a = lam(lambda x: x)
     b = lam(lambda y: y)
     assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
     assert not a < b and not b < a
     one, two = Term(lambda: i_lit(1)), Term(lambda: i_lit(2))
     assert one != two
@@ -220,14 +206,16 @@ def test_alpha_compare_orders_annotations_by_type_name_then_value():
     def tagged(ann):
         return Term(lambda: i_plus(i_lit(1, ann=ann), i_lit(2)))
 
-    # None, then "SrcPos" < "int" < "str" by type name, then by value
-    expected = [None, SrcPos(1, 1), SrcPos(1, 5), 2, 3, "a", "b"]
+    # None, then "SrcPos" < "bool" < "float" < "int" < "str" by type name,
+    # then by value; True and 1 are equal values of different types
+    expected = [None, SrcPos(1, 1), SrcPos(1, 5), True, 0.5, 1, 2, 3, "a", "b"]
     terms = [tagged(ann) for ann in expected]
+    typed = lambda anns: [(type(ann), ann) for ann in anns]
     rng = random.Random(13)
     for _ in range(20):
         shuffled = terms[:]
         rng.shuffle(shuffled)
-        assert [annotations(t)[1][1] for t in sorted(shuffled)] == expected
+        assert typed(annotations(t)[1][1] for t in sorted(shuffled)) == typed(expected)
     for a in terms:
         for b in terms:
             assert alpha_compare(a, b) == -alpha_compare(b, a)
@@ -246,3 +234,61 @@ def test_alpha_compare_reads_every_annotation_layer():
     inner = Term(lambda: In(Ann(FULL.inj(Lit(1)), "inner")))
     assert alpha_compare(inner, one) < 0 < alpha_compare(one, inner)
     assert annotations(one) == [("Lit", "inner")]
+
+
+def de_bruijn_key(ast, levels=None) -> tuple:
+    """An oracle for the alpha relation on plain named trees.
+
+    A variable is ``(0, level)``, the level counting the binders around
+    its own binder; a constructor is ``(1, its position in lang.FULL, its
+    slots left to right)``, children and binder bodies as nested keys.
+    """
+    levels = levels or {}
+    bind = lambda name, body: de_bruijn_key(body, {**levels, name: len(levels)})
+    match ast:
+        case NVar(name, _):
+            return (0, levels[name])
+        case NLam(name, body, _):
+            return (1, 0, bind(name, body))
+        case NApp(fn, arg, _):
+            return (1, 1, de_bruijn_key(fn, levels), de_bruijn_key(arg, levels))
+        case NLit(value, _):
+            return (1, 2, value)
+        case NPlus(lhs, rhs, _):
+            return (1, 3, de_bruijn_key(lhs, levels), de_bruijn_key(rhs, levels))
+        case NErr(_):
+            return (1, 4)
+        case NLet(name, bound, body, _):
+            return (1, 5, de_bruijn_key(bound, levels), bind(name, body))
+    raise TypeError(ast)
+
+
+def rebind_vars(ast, rng: random.Random, scope: tuple[str, ...] = ()):
+    """The same tree with each variable pointed at a random binder in scope."""
+    if isinstance(ast, NVar):
+        return replace(ast, name=rng.choice(scope))
+    inner = scope + (ast.name,) if isinstance(ast, (NLam, NLet)) else scope
+    slots = ("fn", "arg", "lhs", "rhs", "bound", "body")
+    return replace(ast, **{
+        slot: rebind_vars(getattr(ast, slot), rng, inner if slot == "body" else scope)
+        for slot in slots if hasattr(ast, slot)
+    })
+
+
+def test_alpha_eq_and_compare_agree_with_a_de_bruijn_oracle():
+    rng = random.Random(21)
+    base = [random_named(rng, rng.randrange(2, 6)) for _ in range(40)]
+    # each tree, a renaming and near misses: variables bound elsewhere
+    groups = [[ast, rename_binders(ast, rng), *(rebind_vars(ast, rng) for _ in range(4))]
+              for ast in base]
+    pairs = [pair for group in groups for pair in product(group, group)]
+    pairs += product(base, base)
+    sign = lambda x: (x > 0) - (x < 0)
+    equal_pairs = 0
+    for ast1, ast2 in pairs:
+        t1, t2 = term_of_named(ast1), term_of_named(ast2)
+        k1, k2 = de_bruijn_key(ast1), de_bruijn_key(ast2)
+        assert alpha_eq(t1, t2) == (k1 == k2)
+        assert sign(alpha_compare(t1, t2)) == (k1 > k2) - (k1 < k2)
+        equal_pairs += ast1 != ast2 and k1 == k2
+    assert equal_pairs >= len(base)  # every renaming is equal to its tree
