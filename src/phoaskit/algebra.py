@@ -75,24 +75,18 @@ def free(phi: Callable, hole_fn: Callable, c: Cxt) -> Any:
 
 
 def cata_m(phi_m: Callable[[Any], Result], t: Term) -> Result:
-    """Effectful fold over a binder-free term.
+    """Effectful fold over a binder-free term, a :func:`cata` of its stored tree.
 
     Children's effects run left to right in slot order via ``disequence``;
     the first failure aborts the fold.  Signatures with binder slots (any
     contravariant slot) raise :class:`~phoaskit.signature.TraversalError`.
     """
 
-    def cat(c: Cxt) -> Result:
-        if isinstance(c, Var):
-            return Success(c.token)
-        if not isinstance(c, In):
-            raise TypeError("cata_m folds hole-free preterms")
-        seq = disequence(fmap_co(cat, c.node))
-        if isinstance(seq, Failure):
-            return seq
-        return phi_m(seq.value)
+    def phi(node) -> Result:
+        seq = disequence(node)
+        return seq if isinstance(seq, Failure) else phi_m(seq.value)
 
-    return cat(t.preterm())
+    return cata(phi, t)
 
 
 def lift_pure(phi: Callable) -> Callable[[Any], Result]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 
 from .lang import CORE, FunV, IntV, const_fold, desugar, eval_cbv, eval_fused, pretty
@@ -25,119 +26,109 @@ EXIT_EVAL = 1
 EXIT_PARSE = 2
 
 
-def _read_input(arg: str) -> str:
+def _parse(arg: str):
     if arg == "-":
-        return sys.stdin.read()
+        return parse(sys.stdin.read())
     path = Path(arg)
     try:
         if path.is_file():
-            return path.read_text(encoding="utf-8")
+            return parse(path.read_text(encoding="utf-8"))
     except OSError:
         pass
-    return arg
+    return parse(arg)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _desugar(args: argparse.Namespace) -> str:
+    t = desugar(_parse(args.expr))
+    return pretty(const_fold(t, CORE) if args.fold else t)
+
+
+def _eval(args: argparse.Namespace) -> str | Failure:
+    t = _parse(args.expr)
+    result = eval_fused(t) if args.fused else eval_cbv(desugar(t))
+    if isinstance(result, Failure):
+        return result
+    value = result.value
+    if isinstance(value, IntV):
+        return f"Int {value.value}"
+    return "<fun>" if isinstance(value, FunV) else str(value)
+
+
+def _bench(args: argparse.Namespace) -> str:
+    from .bench import bench_json
+
+    return bench_json(depth=args.depth, count=args.count, seed=args.seed)
+
+
+def _typed_demo(args: argparse.Namespace) -> str:
+    from .typed import typed_demo
+
+    return typed_demo()
+
+
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use.
+
+    Each subcommand is registered once, with the handler that returns the
+    line it prints, or a :class:`Failure` for exit status 1.  Handlers
+    reach the passes through this module's globals when they run.
+    """
     parser = argparse.ArgumentParser(
         prog="phoaskit",
         description="pretty print, rewrite and evaluate the demo language",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("pretty", help="parse and pretty print")
-    p.add_argument("expr")
+    def command(name: str, help: str, run, *exprs: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        for expr in exprs:
+            p.add_argument(expr)
+        return p
 
-    p = sub.add_parser("desugar", help="remove let bindings, then pretty print")
-    p.add_argument("expr")
+    command("pretty", "parse and pretty print", lambda a: pretty(_parse(a.expr)), "expr")
+    p = command("desugar", "remove let bindings, then pretty print", _desugar, "expr")
     p.add_argument("--fold", action="store_true", help="also constant fold")
-
-    p = sub.add_parser("constfold", help="constant fold, then pretty print")
-    p.add_argument("expr")
-
-    p = sub.add_parser("eval", help="evaluate call by value")
-    p.add_argument("expr")
+    command(
+        "constfold", "constant fold, then pretty print",
+        lambda a: pretty(const_fold(_parse(a.expr))), "expr",
+    )
+    p = command("eval", "evaluate call by value", _eval, "expr")
     p.add_argument(
         "--fused",
         action="store_true",
         help="desugar and evaluate in a single traversal",
     )
-
-    p = sub.add_parser("show", help="print the constructor structure")
-    p.add_argument("expr")
-
-    p = sub.add_parser("eq", help="decide alpha-equivalence of two expressions")
-    p.add_argument("expr1")
-    p.add_argument("expr2")
-
-    p = sub.add_parser("bench", help="staged vs fused evaluation counters")
+    command(
+        "show", "print the constructor structure",
+        lambda a: struct_show(_parse(a.expr)), "expr",
+    )
+    command(
+        "eq", "decide alpha-equivalence of two expressions",
+        lambda a: "equal" if alpha_eq(_parse(a.expr1), _parse(a.expr2)) else "not equal",
+        "expr1", "expr2",
+    )
+    p = command("bench", "staged vs fused evaluation counters", _bench)
     p.add_argument("--depth", type=int, default=6)
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--seed", type=int, default=42)
-
-    sub.add_parser("typed-demo", help="run the sorted-core-language demo")
-
+    command("typed-demo", "run the sorted-core-language demo", _typed_demo)
     return parser
 
 
-def _render_value(result) -> tuple[str, int]:
-    if isinstance(result, Failure):
-        return f"error: {result.message}", EXIT_EVAL
-    value = result.value
-    if isinstance(value, IntV):
-        return f"Int {value.value}", EXIT_OK
-    if isinstance(value, FunV):
-        return "<fun>", EXIT_OK
-    return str(value), EXIT_OK
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        out = args.run(args)
     except ParseError as err:
         print(err, file=sys.stderr)
         return EXIT_PARSE
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    command = args.command
-    if command == "pretty":
-        print(pretty(parse(_read_input(args.expr))))
-        return EXIT_OK
-    if command == "desugar":
-        t = desugar(parse(_read_input(args.expr)))
-        if args.fold:
-            t = const_fold(t, CORE)
-        print(pretty(t))
-        return EXIT_OK
-    if command == "constfold":
-        print(pretty(const_fold(parse(_read_input(args.expr)))))
-        return EXIT_OK
-    if command == "eval":
-        t = parse(_read_input(args.expr))
-        result = eval_fused(t) if args.fused else eval_cbv(desugar(t))
-        line, code = _render_value(result)
-        print(line)
-        return code
-    if command == "show":
-        print(struct_show(parse(_read_input(args.expr))))
-        return EXIT_OK
-    if command == "eq":
-        t1 = parse(_read_input(args.expr1))
-        t2 = parse(_read_input(args.expr2))
-        print("equal" if alpha_eq(t1, t2) else "not equal")
-        return EXIT_OK
-    if command == "bench":
-        from .bench import bench_json
-
-        print(bench_json(depth=args.depth, count=args.count, seed=args.seed))
-        return EXIT_OK
-    if command == "typed-demo":
-        from .typed import typed_demo
-
-        print(typed_demo())
-        return EXIT_OK
-    raise AssertionError(f"unhandled command {command}")
+    if isinstance(out, Failure):
+        print(f"error: {out.message}")
+        return EXIT_EVAL
+    print(out)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

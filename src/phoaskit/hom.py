@@ -29,8 +29,8 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from .algebra import free
-from .signature import Ann, Signature, fmap_co, leaf_of
+from .algebra import cata, free
+from .signature import Ann, Signature, _peel, _rewrap, fmap_co, leaf_of, map_slots, unwrap_node
 from .term import Cxt, Hole, In, Term, Var, app_cxt, replay
 
 
@@ -145,13 +145,13 @@ def _annotate(c: Cxt, ann: Any) -> Cxt:
 
 
 def strip_ann(t: Term) -> Term:
-    """Forget every annotation, preserving structure."""
+    """Forget every annotation layer, preserving structure and sum tags."""
 
-    def rho(node) -> Cxt:
-        inner = node.node if isinstance(node, Ann) else node
-        return In(fmap_co(Hole, inner))
+    def step(node) -> Cxt:
+        leaf, tags = _peel(node)
+        return In(_rewrap(leaf, [pair for pair in tags if pair[0] is not Ann]))
 
-    return app_term_hom(rho, t)
+    return Term(lambda: replay(step, t.tree, Var))
 
 
 def annotations(t: Term) -> list[tuple[str, Any]]:
@@ -160,6 +160,10 @@ def annotations(t: Term) -> list[tuple[str, Any]]:
     A node under several ``Ann`` layers reports the innermost one, the
     annotation closest to the constructor; a node with none reports ``None``.
     """
-    from .term import iter_nodes
 
-    return [(type(leaf).__name__, ann) for leaf, ann in iter_nodes(t.preterm())]
+    def phi(node) -> list:
+        leaf, _, ann = unwrap_node(node)
+        parts = map_slots(leaf, _identity, lambda body: body([]), lambda _: [])
+        return sum(parts, [(type(leaf).__name__, ann)])
+
+    return cata(phi, t)

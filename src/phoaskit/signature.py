@@ -142,24 +142,25 @@ class Ann:
 
 
 def _peel(node: Any) -> tuple[Node, list]:
-    # the constructor node and the tags and annotations around it, outermost first
-    layers = []
+    # the constructor and the (type, ann) pairs of the sum tags and annotations
+    # around it, innermost first: the one layer format, which term trees store
+    tags = []
     while True:
         tag = type(node)
         if tag is Inl or tag is Inr:
-            layers.append(node)
+            tags.append((tag, None))
             node = node.value
         elif tag is Ann:
-            layers.append(node)
+            tags.append((Ann, node.ann))
             node = node.node
         else:
-            return node, layers
+            tags.reverse()
+            return node, tags
 
 
-def _rewrap(node: Node, layers: list) -> Any:
-    for layer in reversed(layers):
-        tag = type(layer)
-        node = tag(node) if tag is not Ann else Ann(node, layer.ann)
+def _rewrap(node: Node, tags) -> Any:
+    for tag, ann in tags:
+        node = tag(node) if tag is not Ann else Ann(node, ann)
     return node
 
 
@@ -170,7 +171,7 @@ def dimap(pre: Callable, post: Callable, node: Any) -> Any:
     are mapped by ``post``, static slots are untouched.  Sums and
     annotations are preserved.
     """
-    leaf, layers = _peel(node)
+    leaf, tags = _peel(node)
     shape = shape_of(type(leaf))
     values = list(shape.values(leaf))
     for i in shape.co:
@@ -178,7 +179,7 @@ def dimap(pre: Callable, post: Callable, node: Any) -> Any:
     for i in shape.contra:
         values[i] = _compose3(post, values[i], pre)
     out = shape.make(*values)
-    return _rewrap(out, layers) if layers else out
+    return _rewrap(out, tags) if tags else out
 
 
 def _compose3(post: Callable, h: Callable, pre: Callable) -> Callable:
@@ -197,14 +198,19 @@ def unwrap_node(node: Any) -> tuple[Node, str, Any]:
     ``L``/``R`` per sum level, outermost first) and the innermost
     annotation, or ``None``.
     """
-    leaf, layers = _peel(node)
-    path = "".join("L" if type(w) is Inl else "R" for w in layers if type(w) is not Ann)
-    anns = [w.ann for w in layers if type(w) is Ann]
-    return leaf, path, anns[-1] if anns else None
+    leaf, tags = _peel(node)
+    path = "".join("L" if tag is Inl else "R" for tag, _ in reversed(tags) if tag is not Ann)
+    anns = [ann for tag, ann in tags if tag is Ann]
+    return leaf, path, anns[0] if anns else None
 
 
 def leaf_of(node: Any) -> Node:
-    return _peel(node)[0]
+    # _peel without recording the layers, for the per-node dispatch of every pass
+    tag = type(node)
+    while tag is Inl or tag is Inr or tag is Ann:
+        node = node.node if tag is Ann else node.value
+        tag = type(node)
+    return node
 
 
 @dataclass(frozen=True)
@@ -298,7 +304,7 @@ def disequence(node: Any) -> Result:
     the unwrapped slot values is rebuilt.  Nodes with contravariant slots
     have no meaningful sequencing and raise :class:`TraversalError`.
     """
-    leaf, layers = _peel(node)
+    leaf, tags = _peel(node)
     shape = shape_of(type(leaf))
     if shape.contra:
         raise TraversalError(f"{type(leaf).__name__} embeds a binder and cannot be sequenced")
@@ -306,5 +312,5 @@ def disequence(node: Any) -> Result:
     failed = [r for r in results if isinstance(r, Failure)]
     if failed:
         return failed[0]
-    return Success(_rewrap(shape.make(*(r.value for r in results)), layers))
+    return Success(_rewrap(shape.make(*(r.value for r in results)), tags))
 

@@ -29,8 +29,13 @@ from .term import Cxt, Term, Var, inject
 
 KEYWORDS = frozenset({"let", "in", "error"})
 
-_IDENT = re.compile(r"[a-z][a-zA-Z0-9]*")
-_INT = re.compile(r"[0-9]+")
+# blanks, then one alternative per token class: every non-blank character
+# starts a match, so only trailing blanks go unmatched, and the error class,
+# one character that is not a blank, can never take a blank by backtracking
+_TOKEN = re.compile(
+    r"[ \t\r\f\v]*(?:(?P<newline>\n)|(?P<int>[0-9]+)"
+    r"|(?P<ident>[a-z][a-zA-Z0-9]*)|(?P<symbol>[\\.()=+])|(?P<error>[^ \t\r\f\v\n]))"
+)
 
 
 @dataclass(frozen=True, order=True)
@@ -139,42 +144,20 @@ class _Token:
 
 def _lex(text: str) -> list[_Token]:
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
             continue
-        if ch in " \t\r\f\v":
-            col += 1
-            i += 1
-            continue
-        pos = SrcPos(line, col)
-        if ch in "\\.()=+":
-            tokens.append(_Token(ch, ch, pos))
-            i += 1
-            col += 1
-            continue
-        m = _INT.match(text, i)
-        if m:
-            tokens.append(_Token("int", m.group(), pos))
-            col += len(m.group())
-            i = m.end()
-            continue
-        m = _IDENT.match(text, i)
-        if m:
-            word = m.group()
-            kind = word if word in KEYWORDS else "ident"
-            tokens.append(_Token(kind, word, pos))
-            col += len(word)
-            i = m.end()
-            continue
-        raise ParseError(pos, f"unexpected token {ch!r}")
-    tokens.append(_Token("eof", "", SrcPos(line, col)))
+        lexeme = m.group(kind)
+        pos = SrcPos(line, m.start(kind) - line_start + 1)
+        if kind == "error":
+            raise ParseError(pos, f"unexpected token {lexeme!r}")
+        if kind == "symbol" or lexeme in KEYWORDS:
+            kind = lexeme
+        tokens.append(_Token(kind, lexeme, pos))
+    tokens.append(_Token("eof", "", SrcPos(line, len(text) - line_start + 1)))
     return tokens
 
 

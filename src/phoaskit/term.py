@@ -26,15 +26,16 @@ lets a token escape its binder's scope.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import total_ordering
 from typing import Any, Callable, Iterator
 
 from .signature import (
     Ann,
-    Inl,
-    Inr,
     Node,
     Signature,
     Subsumption,
+    _peel,
+    _rewrap,
     fmap_co,
     leaf_of,
     map_slots,
@@ -85,13 +86,13 @@ def project(c: Cxt, witness: Subsumption) -> Node | None:
     """Project the head of a context back to one summand.
 
     Answers ``None`` on ``Var`` and ``Hole``, and on ``In`` nodes whose
-    injection path belongs to a different summand.  Annotations are looked
-    through.
+    injection path belongs to a different summand.  Every annotation layer
+    around the injection is looked through.
     """
     if not isinstance(c, In):
         return None
     node = c.node
-    if isinstance(node, Ann):
+    while isinstance(node, Ann):
         node = node.node
     return witness.proj(node)
 
@@ -133,10 +134,10 @@ class _BoundToken:
     __slots__ = ()
 
 
-def iter_nodes(c: Cxt, tokens: Callable[[], Any] = _BoundToken) -> Iterator[tuple[Node, Any]]:
+def iter_nodes(c: Cxt) -> Iterator[tuple[Node, Any]]:
     """Yield ``(constructor_node, annotation)`` for every ``In`` node.
 
-    Binder slots are instantiated with fresh tokens so bodies are walked
+    Binder slots are instantiated with opaque tokens so bodies are walked
     exactly once.  Preorder, children in declaration order.
     """
     if isinstance(c, Var):
@@ -144,12 +145,12 @@ def iter_nodes(c: Cxt, tokens: Callable[[], Any] = _BoundToken) -> Iterator[tupl
     if isinstance(c, Hole):
         payload = c.payload
         if isinstance(payload, (In, Var, Hole)):
-            yield from iter_nodes(payload, tokens)
+            yield from iter_nodes(payload)
         return
     leaf, _, ann = unwrap_node(c.node)
     yield leaf, ann
-    walk = lambda child: iter_nodes(child, tokens)
-    for nodes in map_slots(leaf, walk, lambda body: walk(body(tokens())), lambda _: ()):
+    bind = lambda body: iter_nodes(body(_BoundToken()))
+    for nodes in map_slots(leaf, iter_nodes, bind, lambda _: ()):
         yield from nodes
 
 
@@ -177,19 +178,8 @@ def _validate(root: Cxt) -> Any:
 
     def walk(c: Cxt) -> Any:
         if isinstance(c, In):
-            node, tags = c.node, []
-            while True:
-                tag = type(node)
-                if tag is Inl or tag is Inr:
-                    tags.append((tag, None))
-                    node = node.value
-                elif tag is Ann:
-                    tags.append((Ann, node.ann))
-                    node = node.node
-                else:
-                    break
-            tags.reverse()
-            shape = shape_of(tag)
+            node, tags = _peel(c.node)
+            shape = shape_of(type(node))
             values = shape.values(node)
             if shape.co or shape.contra:
                 values = list(values)
@@ -242,9 +232,7 @@ def replay(phi: Callable, tree: Any, arg: Callable | None = None) -> Any:
             for i in shape.contra:
                 values[i] = binder(values[i], env)
         node = shape.make(*values)
-        for tag, ann in tags:
-            node = tag(node) if tag is not Ann else Ann(node, ann)
-        return phi(node)
+        return phi(_rewrap(node, tags) if tags else node)
 
     def binder(bound: tuple, env: dict) -> Callable:
         token, body = bound
@@ -255,6 +243,7 @@ def replay(phi: Callable, tree: Any, arg: Callable | None = None) -> Any:
     return walk(tree, {})
 
 
+@total_ordering
 class Term:
     """A closed term: the tree its builder produced, validated once.
 
@@ -291,17 +280,10 @@ class Term:
             return NotImplemented
         return _alpha_key(self) == _alpha_key(other)
 
-    def __lt__(self, other: "Term") -> bool:
+    def __lt__(self, other: object) -> bool:
+        if not isinstance(other, Term):
+            return NotImplemented
         return _alpha_key(self) < _alpha_key(other)
-
-    def __le__(self, other: "Term") -> bool:
-        return _alpha_key(self) <= _alpha_key(other)
-
-    def __gt__(self, other: "Term") -> bool:
-        return _alpha_key(self) > _alpha_key(other)
-
-    def __ge__(self, other: "Term") -> bool:
-        return _alpha_key(self) >= _alpha_key(other)
 
     def __hash__(self) -> int:
         return hash(_alpha_key(self))

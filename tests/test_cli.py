@@ -1,8 +1,10 @@
 """Driver behaviour: outputs, exit codes, input handling."""
 from __future__ import annotations
 
+import argparse
 import json
 
+from phoaskit import cli
 from phoaskit.cli import main
 from phoaskit.lang import pretty
 
@@ -128,3 +130,22 @@ def test_file_and_stdin_inputs(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("40 + 2"))
     code, out, _ = run(capsys, "eval", "-")
     assert (code, out) == (0, "Int 42\n")
+
+
+def test_the_argument_parser_is_built_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "phoaskit":  # subcommand parsers are named "phoaskit <command>"
+            built.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    try:
+        assert run(capsys, "pretty", "1") == (0, "1\n", "")
+        assert run(capsys, "eval", "1 + 2") == (0, "Int 3\n", "")
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1

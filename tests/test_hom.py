@@ -31,11 +31,13 @@ from phoaskit.lang import (
     example_term,
     pretty,
     NameStream,
+    Lit,
+    i_lit,
 )
 from phoaskit.names import alpha_eq, preterm_eq
-from phoaskit.signature import leaf_of, unwrap_node
+from phoaskit.signature import Ann, Inl, Inr, leaf_of, unwrap_node
 from phoaskit.surface import SrcPos, parse, parse_ann
-from phoaskit.term import Hole, In, Var
+from phoaskit.term import Hole, In, Term, Var
 
 
 def swap_plus_hom(node):
@@ -162,6 +164,32 @@ def test_strip_ann_preserves_structure(corpus):
         stripped = strip_ann(annotated)
         assert alpha_eq(stripped, plain)
         assert node_count(stripped) == node_count(plain)
+
+
+def test_strip_ann_removes_every_annotation_layer():
+    nested = Term(lambda: In(Ann(Ann(FULL.inj(Lit(1)), "inner"), "outer")))
+    assert annotations(strip_ann(nested)) == [("Lit", None)]
+    assert alpha_eq(strip_ann(nested), Term(lambda: i_lit(1)))
+
+
+def test_strip_ann_removes_annotations_between_sum_tags():
+    path = FULL.witness(Lit).path
+    assert len(path) > 1
+
+    def build():
+        node = Lit(1)
+        for depth, side in enumerate(reversed(path)):
+            node = Inl(node) if side == "L" else Inr(node)
+            if depth == 0:
+                node = Ann(node, "between")
+        return In(node)
+
+    t = Term(build)
+    assert annotations(t) == [("Lit", "between")]
+    stripped = strip_ann(t)
+    assert Ann not in [tag for tag, _ in stripped.tree[2]]
+    assert alpha_eq(stripped, Term(lambda: i_lit(1)))
+    assert unwrap_node(stripped.preterm().node)[1] == path
 
 
 def test_staged_pipeline_materializes_fused_does_not(monkeypatch):

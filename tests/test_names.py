@@ -6,6 +6,7 @@ from dataclasses import replace
 from functools import cmp_to_key
 from itertools import product
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -184,6 +185,10 @@ def test_term_operators_follow_the_alpha_relation():
     assert one < two <= two
     assert two > one and two >= one
     assert (one == 5) is False
+    with pytest.raises(TypeError):
+        one < 5
+    with pytest.raises(TypeError):
+        sorted([one, 5])
 
 
 def test_struct_show_separates_inequivalent_terms(corpus):

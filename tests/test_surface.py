@@ -1,6 +1,7 @@
 """Lexing, parsing, closedness, annotations and the print round trip."""
 from __future__ import annotations
 
+import hashlib
 import random
 import string
 
@@ -9,7 +10,7 @@ import pytest
 from phoaskit.hom import annotations, strip_ann
 from phoaskit.lang import example_term, pretty
 from phoaskit.names import alpha_eq, struct_show
-from phoaskit.surface import ParseError, SrcPos, parse, parse_ann
+from phoaskit.surface import ParseError, SrcPos, _lex, parse, parse_ann
 from phoaskit.term import Term
 
 
@@ -125,6 +126,29 @@ def test_parse_is_total_on_fuzzed_inputs():
         except ParseError:
             outcomes["error"] += 1
     assert outcomes["term"] + outcomes["error"] == 10_000
+
+
+def test_lexer_output_is_pinned_on_seeded_strings():
+    # every blank, a NUL, a non-ASCII letter, Unicode spaces that are not
+    # blanks here, every ASCII symbol and the keywords; a trailing or lone
+    # form feed once slipped into an error token
+    pieces = list(" \t\r\f\v\n\x00é\x1c\x85\xa0" + string.digits + string.ascii_letters)
+    pieces += list(string.punctuation)
+    pieces += ["let", "in", "error", "x1", "42"]
+    rng = random.Random(5)
+    digest = hashlib.sha256()
+    outcomes = {"tokens": 0, "error": 0}
+    for _ in range(6000):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randrange(0, 13)))
+        try:
+            out = [(t.kind, t.text, t.pos.line, t.pos.column) for t in _lex(text)]
+            outcomes["tokens"] += 1
+        except ParseError as err:
+            out = (err.message, err.pos.line, err.pos.column)
+            outcomes["error"] += 1
+        digest.update(repr((text, out)).encode())
+    assert min(outcomes.values()) > 1000
+    assert digest.hexdigest()[:16] == "6f5dc5579f11865e"
 
 
 def test_parse_ann_accepts_exactly_the_same_language(corpus):

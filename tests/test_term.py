@@ -22,7 +22,7 @@ from phoaskit.lang import (
     i_plus,
     pretty,
 )
-from phoaskit.signature import leaf_of
+from phoaskit.signature import Ann, leaf_of
 from phoaskit.term import (
     ExoticTermError,
     Hole,
@@ -57,6 +57,8 @@ def test_project_on_var_and_wrong_summand():
 def test_project_looks_through_annotations():
     c = inject(Lit(5), FULL, ann="1:1")
     assert project(c, FULL.witness(Lit)) == Lit(5)
+    c = In(Ann(Ann(FULL.inj(Lit(1)), "a"), "b"))
+    assert project(c, FULL.witness(Lit)) == Lit(1)
 
 
 def test_inject_app_head_projects_to_app():
