@@ -123,24 +123,34 @@ def identity_hom(target: Signature) -> HomCases:
 def lift_ann_hom(rho: Callable[[Any], Cxt]) -> Callable[[Any], Cxt]:
     """Lift a homomorphism to annotated signatures.
 
-    Every node of the context produced for a source node tagged ``p``
-    is itself tagged ``p``; variables and holes stay untagged.  Multi-node
+    Every node of the context produced for a source node under the
+    annotation layers ``p1 ... pk`` is itself put under ``p1 ... pk``, in
+    the same order; variables and holes stay untagged.  Multi-node
     rewrites (a sugared form expanding to several core nodes) thus spread
-    the source annotation over all of their output.
+    the source annotations over all of their output, and the lifted
+    identity is the identity.  Only layers outside the sum tags are
+    carried over.
     """
 
     def lifted(node) -> Cxt:
-        if isinstance(node, Ann):
-            return _annotate(rho(node.node), node.ann)
-        return rho(node)
+        if type(node) is not Ann:
+            return rho(node)
+        anns = []
+        while type(node) is Ann:
+            anns.append(node.ann)
+            node = node.node
+        anns.reverse()  # innermost first, the order they are put back in
+        return _annotate(rho(node), anns)
 
     return lifted
 
 
-def _annotate(c: Cxt, ann: Any) -> Cxt:
+def _annotate(c: Cxt, anns: list) -> Cxt:
     if isinstance(c, In):
-        node = fmap_co(lambda child: _annotate(child, ann), c.node)
-        return In(Ann(node, ann))
+        node = fmap_co(lambda child: _annotate(child, anns), c.node)
+        for ann in anns:
+            node = Ann(node, ann)
+        return In(node)
     return c
 
 

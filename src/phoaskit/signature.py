@@ -217,9 +217,10 @@ def leaf_of(node: Any) -> Node:
 class Subsumption:
     """Injection/projection witness for one summand of a signature.
 
-    ``proj(inj(n)) == n`` for every node ``n`` of the summand, and
+    ``proj(inj(n)) is n`` for every node ``n`` of the summand, and
     ``proj`` answers ``None`` for nodes that took any other path into the
-    sum.
+    sum.  Annotation layers are looked through wherever they sit: around
+    the sum tags, between them or on the constructor itself.
     """
 
     summand: type
@@ -237,11 +238,14 @@ class Subsumption:
 
     def proj(self, node: Any) -> Node | None:
         for side in self.path:
-            want = Inl if side == "L" else Inr
-            if not isinstance(node, want):
+            while type(node) is Ann:
+                node = node.node
+            if not isinstance(node, Inl if side == "L" else Inr):
                 return None
             node = node.value
-        if isinstance(node, self.summand) and not isinstance(node, (Inl, Inr, Ann)):
+        while type(node) is Ann:
+            node = node.node
+        if isinstance(node, self.summand) and not isinstance(node, (Inl, Inr)):
             return node
         return None
 

@@ -87,14 +87,10 @@ def project(c: Cxt, witness: Subsumption) -> Node | None:
 
     Answers ``None`` on ``Var`` and ``Hole``, and on ``In`` nodes whose
     injection path belongs to a different summand.  Every annotation layer
-    around the injection is looked through.
+    is looked through, between the sum tags too (see
+    :meth:`~phoaskit.signature.Subsumption.proj`).
     """
-    if not isinstance(c, In):
-        return None
-    node = c.node
-    while isinstance(node, Ann):
-        node = node.node
-    return witness.proj(node)
+    return witness.proj(c.node) if isinstance(c, In) else None
 
 
 def smart_binder(f: Callable[[Cxt], Cxt]) -> Callable[[Any], Cxt]:

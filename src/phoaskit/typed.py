@@ -1,26 +1,33 @@
 """A sorted core language whose evaluator has no stuck state.
 
-Sorts are integers and arrows.  Construction checks sorts, so the only
-representable terms are well-sorted ones and the evaluator can dispense
-with value tags entirely: integers evaluate to raw ints, lambdas to raw
-functions, and application just applies.  The single failure left is the
-explicit error construct.
+Sorts are integers and arrows.  A sorted term is a core-language term
+with one annotation layer on every node, holding that node's sort; a
+bound-variable occurrence is a :class:`TVar`, which carries its binder's
+sort.  Construction checks sorts, so the only representable terms are
+well-sorted ones and the evaluator can dispense with value tags entirely:
+integers evaluate to raw ints, lambdas to raw functions, and application
+just applies.  The single failure left is the explicit error construct.
 
 The host cannot carry the sort indices statically, so the checks run when
 a term is built: ``t_app`` demands an arrow whose domain matches the
 argument, ``t_plus`` demands integer operands, and a binder's body is
 probed once with a sorted placeholder to determine the arrow sort.
-Erasing sorts yields an ordinary core term with the same behaviour.
+Erasing sorts is :func:`~phoaskit.hom.strip_ann`, which yields an
+ordinary core term with the same behaviour.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable
 
-from .lang import CORE, IntV, FunV, i_app, i_err, i_lam, i_lit, i_plus
+from .algebra import cata, make_cases
+from .hom import strip_ann
+from .lang import CORE, App, Err, FunV, IntV, Lam, Lit, Plus
 from .result import Failure, Result, Success
-from .term import Term
+from .signature import Ann
+from .term import In, Term, Var, inject
 
 
 @dataclass(frozen=True)
@@ -47,76 +54,70 @@ class SortMismatchError(TypeError):
 
 
 @dataclass(frozen=True)
-class TVar:
-    sort: ObjType
-    payload: Any
+class TVar(Var):
+    """A bound-variable occurrence that carries its binder's sort."""
 
-
-@dataclass(frozen=True)
-class TLam:
-    dom: ObjType
-    body: Callable[[TVar], Any]
     sort: ObjType
 
 
-@dataclass(frozen=True)
-class TApp:
-    fn: Any
-    arg: Any
-    sort: ObjType
-
-
-@dataclass(frozen=True)
-class TLit:
-    value: int
-    sort: ObjType = INT
-
-
-@dataclass(frozen=True)
-class TPlus:
-    lhs: Any
-    rhs: Any
-    sort: ObjType = INT
-
-
-@dataclass(frozen=True)
-class TErr:
-    sort: ObjType
-
-
-TypedTerm = Any
+TypedTerm = Any  # a TVar, or a CORE preterm with a sort annotation on every node
 
 _PROBE = object()
 
 
-def t_lam(dom: ObjType, f: Callable[[TVar], TypedTerm]) -> TLam:
+def sort_of(t: TypedTerm) -> ObjType:
+    """A variable's sort, or the sort annotation around a term's head node."""
+    if isinstance(t, TVar):
+        return t.sort
+    if isinstance(t, In) and type(t.node) is Ann and isinstance(t.node.ann, (TInt, TArrow)):
+        return t.node.ann
+    raise SortMismatchError(f"not a sorted term: {t!r}")
+
+
+def t_lam(dom: ObjType, f: Callable[[TVar], TypedTerm]) -> In:
     """Typed binder; the body fixes the codomain sort."""
-    body = f(TVar(dom, _PROBE))
-    return TLam(dom, f, TArrow(dom, body.sort))
+    cod = sort_of(f(TVar(_PROBE, dom)))
+    return inject(Lam(lambda token: f(TVar(token, dom))), CORE, TArrow(dom, cod))
 
 
-def t_app(fn: TypedTerm, arg: TypedTerm) -> TApp:
-    if not isinstance(fn.sort, TArrow):
-        raise SortMismatchError(f"applying a non-function of sort {fn.sort}")
-    if fn.sort.dom != arg.sort:
-        raise SortMismatchError(
-            f"argument sort {arg.sort} does not match domain {fn.sort.dom}"
-        )
-    return TApp(fn, arg, fn.sort.cod)
+def t_app(fn: TypedTerm, arg: TypedTerm) -> In:
+    fn_sort, arg_sort = sort_of(fn), sort_of(arg)
+    if not isinstance(fn_sort, TArrow):
+        raise SortMismatchError(f"applying a non-function of sort {fn_sort}")
+    if fn_sort.dom != arg_sort:
+        raise SortMismatchError(f"argument sort {arg_sort} does not match domain {fn_sort.dom}")
+    return inject(App(fn, arg), CORE, fn_sort.cod)
 
 
-def t_lit(n: int) -> TLit:
-    return TLit(n)
+def t_lit(n: int) -> In:
+    return inject(Lit(n), CORE, INT)
 
 
-def t_plus(lhs: TypedTerm, rhs: TypedTerm) -> TPlus:
-    if lhs.sort != INT or rhs.sort != INT:
+def t_plus(lhs: TypedTerm, rhs: TypedTerm) -> In:
+    if sort_of(lhs) != INT or sort_of(rhs) != INT:
         raise SortMismatchError("addition needs integer operands")
-    return TPlus(lhs, rhs)
+    return inject(Plus(lhs, rhs), CORE, INT)
 
 
-def t_err(sort: ObjType) -> TErr:
-    return TErr(sort)
+def t_err(sort: ObjType) -> In:
+    return inject(Err(), CORE, sort)
+
+
+def _first_failure(*results: Result) -> Failure | None:
+    return next((r for r in results if isinstance(r, Failure)), None)
+
+
+# The carrier is a fallible raw value: an int, or a function from the
+# domain's raw values to fallible codomain values.
+_typed_eval_alg = make_cases(
+    {
+        Lam: lambda n: Success(lambda v: n.body(Success(v))),
+        App: lambda n: _first_failure(n.fn, n.arg) or n.fn.value(n.arg.value),
+        Lit: lambda n: Success(n.value),
+        Plus: lambda n: _first_failure(n.lhs, n.rhs) or Success(n.lhs.value + n.rhs.value),
+        Err: lambda n: Failure("error"),
+    }
+)
 
 
 def typed_eval(t: TypedTerm) -> Result:
@@ -126,54 +127,14 @@ def typed_eval(t: TypedTerm) -> Result:
     from the domain's values to fallible codomain values.  There is no
     "stuck" branch: sorts rule those states out at construction.
     """
-    match t:
-        case TVar(_, payload):
-            return payload
-        case TLit(value, _):
-            return Success(value)
-        case TPlus(lhs, rhs, _):
-            left = typed_eval(lhs)
-            if isinstance(left, Failure):
-                return left
-            right = typed_eval(rhs)
-            if isinstance(right, Failure):
-                return right
-            return Success(left.value + right.value)
-        case TLam(dom, body, _):
-            return Success(lambda v: typed_eval(body(TVar(dom, Success(v)))))
-        case TApp(fn, arg, _):
-            f = typed_eval(fn)
-            if isinstance(f, Failure):
-                return f
-            x = typed_eval(arg)
-            if isinstance(x, Failure):
-                return x
-            return f.value(x.value)
-        case TErr(_):
-            return Failure("error")
-    raise TypeError(f"not a typed term: {t!r}")
+    sort_of(t)
+    return cata(_typed_eval_alg, Term(lambda: t))
 
 
 def erase(t: TypedTerm) -> Term:
     """Forget the sorts, producing a closed core-language term."""
-
-    def walk(node):
-        match node:
-            case TVar(_, payload):
-                return payload
-            case TLit(value, _):
-                return i_lit(value, CORE)
-            case TPlus(lhs, rhs, _):
-                return i_plus(walk(lhs), walk(rhs), CORE)
-            case TLam(dom, body, _):
-                return i_lam(lambda occ: walk(body(TVar(dom, occ))), CORE)
-            case TApp(fn, arg, _):
-                return i_app(walk(fn), walk(arg), CORE)
-            case TErr(_):
-                return i_err(CORE)
-        raise TypeError(f"not a typed term: {node!r}")
-
-    return Term(lambda: walk(t))
+    sort_of(t)
+    return strip_ann(Term(lambda: t))
 
 
 _SAMPLE_INTS = (0, 1, -1, 2, 7, -3, 10, 42)
@@ -209,56 +170,30 @@ def _values_agree(sort: ObjType, sem, val) -> bool:
 _ARG_SORTS = (INT, TArrow(INT, INT))
 
 
-def _subst(node: TypedTerm, placeholder: TVar, replacement: TVar) -> TypedTerm:
-    """Swap one variable occurrence for another, lazily under binders."""
-    match node:
-        case TVar(_, _):
-            return replacement if node is placeholder else node
-        case TLit(_, _) | TErr(_):
-            return node
-        case TPlus(lhs, rhs, sort):
-            return TPlus(
-                _subst(lhs, placeholder, replacement),
-                _subst(rhs, placeholder, replacement),
-                sort,
-            )
-        case TApp(fn, arg, sort):
-            return TApp(
-                _subst(fn, placeholder, replacement),
-                _subst(arg, placeholder, replacement),
-                sort,
-            )
-        case TLam(dom, body, sort):
-            return TLam(
-                dom, lambda v: _subst(body(v), placeholder, replacement), sort
-            )
-    raise TypeError(f"not a typed term: {node!r}")
-
-
 def random_typed_term(
-    rng: random.Random,
-    sort: ObjType = INT,
-    depth: int = 4,
-    scope: tuple[tuple[ObjType, TVar], ...] = (),
-    allow_err: bool = False,
+    rng: random.Random, sort: ObjType = INT, depth: int = 4, allow_err: bool = False
 ) -> TypedTerm:
     """A random well-sorted term of the requested sort.
 
-    Bodies are generated once against a placeholder variable and then
-    substituted per instantiation, so a binder's function yields the same
-    shape every time it is applied.  Everything goes through the checked
-    constructors: an ill-sorted candidate would fail loudly here.
+    The draws make a recipe, a function from the occurrences in scope to a
+    term, so a binder's body is drawn once and yields the same shape every
+    time it is applied.  Everything goes through the checked constructors:
+    an ill-sorted candidate would fail loudly here.
     """
-    matching = [v for s, v in scope if s == sort]
+    return _recipe(rng, sort, depth, (), allow_err)(())
+
+
+def _recipe(
+    rng: random.Random, sort: ObjType, depth: int, scope: tuple, allow_err: bool
+) -> Callable[[tuple], TypedTerm]:
+    # scope: the sorts of the enclosing binders, outermost first, which is
+    # also the order of the occurrences the recipe is applied to
+    matching = [i for i, s in enumerate(scope) if s == sort]
     if isinstance(sort, TArrow):
         if matching and rng.random() < 0.4:
-            return rng.choice(matching)
-        placeholder = TVar(sort.dom, object())
-        body_depth = depth - 1 if depth > 0 else 0
-        tree = random_typed_term(
-            rng, sort.cod, body_depth, scope + ((sort.dom, placeholder),), allow_err
-        )
-        return t_lam(sort.dom, lambda v: _subst(tree, placeholder, v))
+            return itemgetter(rng.choice(matching))
+        body = _recipe(rng, sort.cod, max(depth - 1, 0), scope + (sort.dom,), allow_err)
+        return lambda env: t_lam(sort.dom, lambda v: body(env + (v,)))
     choices = ["lit"]
     if depth > 0:
         choices += ["plus", "plus", "app"]
@@ -268,20 +203,20 @@ def random_typed_term(
         choices.append("err")
     pick = rng.choice(choices)
     if pick == "lit":
-        return t_lit(rng.randrange(0, 50))
+        n = rng.randrange(0, 50)
+        return lambda env: t_lit(n)
     if pick == "var":
-        return rng.choice(matching)
+        return itemgetter(rng.choice(matching))
     if pick == "err":
-        return t_err(sort)
+        return lambda env: t_err(sort)
     if pick == "plus":
-        return t_plus(
-            random_typed_term(rng, INT, depth - 1, scope, allow_err),
-            random_typed_term(rng, INT, depth - 1, scope, allow_err),
-        )
+        lhs = _recipe(rng, INT, depth - 1, scope, allow_err)
+        rhs = _recipe(rng, INT, depth - 1, scope, allow_err)
+        return lambda env: t_plus(lhs(env), rhs(env))
     dom = rng.choice(_ARG_SORTS)
-    fn = random_typed_term(rng, TArrow(dom, sort), depth - 1, scope, allow_err)
-    arg = random_typed_term(rng, dom, depth - 1, scope, allow_err)
-    return t_app(fn, arg)
+    fn = _recipe(rng, TArrow(dom, sort), depth - 1, scope, allow_err)
+    arg = _recipe(rng, dom, depth - 1, scope, allow_err)
+    return lambda env: t_app(fn(env), arg(env))
 
 
 def typed_demo(family_size: int = 100, seed: int = 42) -> str:
@@ -291,11 +226,8 @@ def typed_demo(family_size: int = 100, seed: int = 42) -> str:
     lines = ["typed core language demo"]
     lines.append(f"  (\\x. x + x) 2  ==>  {outcome.value}")
     rng = random.Random(seed)
-    failures = 0
-    for _ in range(family_size):
-        t = random_typed_term(rng, INT, depth=4)
-        if isinstance(typed_eval(t), Failure):
-            failures += 1
+    family = (random_typed_term(rng, INT, depth=4) for _ in range(family_size))
+    failures = sum(isinstance(typed_eval(t), Failure) for t in family)
     lines.append(
         f"  error-free family: {family_size - failures}/{family_size} evaluated "
         "without failure"

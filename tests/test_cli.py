@@ -3,7 +3,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import phoaskit
 from phoaskit import cli
 from phoaskit.cli import main
 from phoaskit.lang import pretty
@@ -149,3 +154,16 @@ def test_the_argument_parser_is_built_once(capsys, monkeypatch):
     finally:
         cli._parser.cache_clear()
     assert len(built) == 1
+
+
+def test_importing_the_cli_leaves_typed_and_bench_unloaded():
+    # both are imported by their subcommand's handler, so start-up never pays for them
+    code = (
+        "import phoaskit.cli, sys; "
+        "print(sorted(m for m in ('phoaskit.typed', 'phoaskit.bench') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(phoaskit.__file__).resolve().parent.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout == "[]\n"

@@ -31,13 +31,14 @@ from phoaskit.lang import (
     example_term,
     pretty,
     NameStream,
+    Let,
     Lit,
     i_lit,
 )
 from phoaskit.names import alpha_eq, preterm_eq
 from phoaskit.signature import Ann, Inl, Inr, leaf_of, unwrap_node
 from phoaskit.surface import SrcPos, parse, parse_ann
-from phoaskit.term import Hole, In, Term, Var
+from phoaskit.term import Hole, In, Term, Var, smart_binder
 
 
 def swap_plus_hom(node):
@@ -120,6 +121,22 @@ def test_lifted_identity_preserves_annotations(ann_corpus):
     rho = lift_ann_hom(identity_hom(FULL))
     for t in ann_corpus[:50]:
         assert annotations(app_term_hom(rho, t)) == annotations(t)
+
+
+def test_lifted_identity_keeps_nested_annotations():
+    t = Term(lambda: In(Ann(Ann(FULL.inj(Lit(1)), "inner"), "outer")))
+    out = app_term_hom(lift_ann_hom(identity_hom(FULL)), t)
+    assert annotations(out) == annotations(t) == [("Lit", "inner")]
+    assert out == t
+
+
+def test_lifted_desugar_puts_every_layer_on_every_produced_node():
+    let = Let(i_lit(1), smart_binder(lambda x: x))
+    t = Term(lambda: In(Ann(Ann(FULL.inj(let), "inner"), "outer")))
+    out = app_term_hom(lift_ann_hom(desugar_hom), t)
+    assert annotations(out) == [("App", "inner"), ("Lam", "inner"), ("Lit", None)]
+    app_tags = out.tree[2]
+    assert [ann for tag, ann in app_tags if tag is Ann] == ["inner", "outer"]
 
 
 def test_desugared_let_nodes_carry_the_let_position():

@@ -22,7 +22,7 @@ from phoaskit.lang import (
     i_plus,
     pretty,
 )
-from phoaskit.signature import Ann, leaf_of
+from phoaskit.signature import Ann, Inl, Inr, leaf_of
 from phoaskit.term import (
     ExoticTermError,
     Hole,
@@ -59,6 +59,15 @@ def test_project_looks_through_annotations():
     assert project(c, FULL.witness(Lit)) == Lit(5)
     c = In(Ann(Ann(FULL.inj(Lit(1)), "a"), "b"))
     assert project(c, FULL.witness(Lit)) == Lit(1)
+
+
+def test_project_looks_through_annotations_between_sum_tags():
+    from phoaskit.lang import Plus
+
+    c = In(Inr(Inr(Ann(Inl(Lit(1)), "mid"))))
+    assert project(c, FULL.witness(Lit)) == Lit(1)
+    assert FULL.witness(Lit).proj(Ann(c.node, "outer")) == Lit(1)
+    assert project(c, FULL.witness(Plus)) is None
 
 
 def test_inject_app_head_projects_to_app():
