@@ -89,11 +89,6 @@ def cata_m(phi_m: Callable[[Any], Result], t: Term) -> Result:
     return cata(phi, t)
 
 
-def lift_pure(phi: Callable) -> Callable[[Any], Result]:
-    """View a pure algebra as an effectful one that always succeeds."""
-    return lambda node: Success(phi(node))
-
-
 def deep_project(t: Term, target: Signature) -> Term | None:
     """Recursively re-tag a term into a smaller signature.
 

@@ -27,10 +27,11 @@ other callables take that path.
 """
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable
 
 from .algebra import cata, free
-from .signature import Ann, Signature, _peel, _rewrap, fmap_co, leaf_of, map_slots, unwrap_node
+from .signature import Ann, Inl, Inr, Signature, _peel, _rewrap, fmap_co, leaf_of, map_slots, unwrap_node
 from .term import Cxt, Hole, In, Term, Var, app_cxt, replay
 
 
@@ -54,22 +55,24 @@ class HomCases:
         return In(fmap_co(Hole, self.target.inj(leaf))) if rule is None else rule(leaf)
 
 
-def _hom_step(rho: Callable[[Any], Cxt]) -> Callable[[Any], Cxt]:
-    # one node, its children already mapped, to its merged target context
+def _dispatch(rho: Callable[[Any], Cxt], retag: Callable, merge: Callable) -> Callable:
+    # one node, its slots already mapped: a HomCases sends a constructor it has
+    # no rule for to retag(target.inj(leaf)), every other context goes to merge
     if not isinstance(rho, HomCases):
-        return lambda node: app_cxt(rho(node))
+        return lambda node: merge(rho(node))
+    cases, target = rho.cases, rho.target
 
-    def step(node) -> Cxt:
+    def step(node):
         leaf = leaf_of(node)
-        rule = rho.cases.get(type(leaf))
-        return In(rho.target.inj(leaf)) if rule is None else app_cxt(rule(leaf))
+        rule = cases.get(type(leaf))
+        return retag(target.inj(leaf)) if rule is None else merge(rule(leaf))
 
     return step
 
 
 def app_hom(rho: Callable[[Any], Cxt], c: Cxt) -> Cxt:
     """Apply a homomorphism to a context (or preterm)."""
-    step = _hom_step(rho)
+    step = _dispatch(rho, In, app_cxt)
 
     def walk(c: Cxt) -> Cxt:
         return step(fmap_co(walk, c.node)) if isinstance(c, In) else c
@@ -83,8 +86,7 @@ def app_term_hom(rho: Callable[[Any], Cxt], t: Term) -> Term:
     The source's stored tree is folded once (:func:`~phoaskit.term.replay`),
     one Python frame per covariant level.
     """
-    step = _hom_step(rho)
-    return Term(lambda: replay(step, t.tree, Var))
+    return Term(lambda: replay(_dispatch(rho, In, app_cxt), t.tree, Var))
 
 
 def compose_hom(rho1: Callable, rho2: Callable) -> Callable[[Any], Cxt]:
@@ -94,15 +96,7 @@ def compose_hom(rho1: Callable, rho2: Callable) -> Callable[[Any], Cxt]:
 
 def compose_alg_hom(phi: Callable, rho: Callable) -> Callable[[Any], Any]:
     """Fuse an algebra after a homomorphism into one algebra."""
-    if not isinstance(rho, HomCases):
-        return lambda node: free(phi, _identity, rho(node))
-
-    def fused(node):
-        leaf = leaf_of(node)
-        rule = rho.cases.get(type(leaf))
-        return phi(rho.target.inj(leaf)) if rule is None else free(phi, _identity, rule(leaf))
-
-    return fused
+    return _dispatch(rho, phi, partial(free, phi, _identity))
 
 
 def _identity(x):
@@ -123,22 +117,29 @@ def identity_hom(target: Signature) -> HomCases:
 def lift_ann_hom(rho: Callable[[Any], Cxt]) -> Callable[[Any], Cxt]:
     """Lift a homomorphism to annotated signatures.
 
-    Every node of the context produced for a source node under the
-    annotation layers ``p1 ... pk`` is itself put under ``p1 ... pk``, in
-    the same order; variables and holes stay untagged.  Multi-node
-    rewrites (a sugared form expanding to several core nodes) thus spread
-    the source annotations over all of their output, and the lifted
-    identity is the identity.  Only layers outside the sum tags are
-    carried over.
+    The rule sees the source node without its annotation layers ``p1 ...
+    pk``, wherever they sit among the sum tags, and every node of the
+    context it produces is put under ``p1 ... pk``, innermost first;
+    variables and holes stay untagged.  Multi-node rewrites (a sugared
+    form expanding to several core nodes) thus spread the source
+    annotations over all of their output, and the lifted identity is the
+    identity.
     """
 
     def lifted(node) -> Cxt:
-        if type(node) is not Ann:
-            return rho(node)
         anns = []
-        while type(node) is Ann:
+        while type(node) is Ann:  # outside the sum tags, where inject puts them
             anns.append(node.ann)
             node = node.node
+        probe = node
+        while type(probe) is Inl or type(probe) is Inr:
+            probe = probe.value
+        if type(probe) is Ann:  # a layer between the sum tags: rebuild without any
+            leaf, tags = _peel(node)
+            node = _rewrap(leaf, [pair for pair in tags if pair[0] is not Ann])
+            anns += [ann for tag, ann in reversed(tags) if tag is Ann]
+        if not anns:
+            return rho(node)
         anns.reverse()  # innermost first, the order they are put back in
         return _annotate(rho(node), anns)
 

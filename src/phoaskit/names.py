@@ -18,10 +18,8 @@ from dataclasses import dataclass
 from functools import total_ordering
 from typing import Any
 
-from .signature import Ann, Inl
+from .signature import _CO, _CONTRA, Ann, Inl
 from .term import Cxt, Term, _BoundToken, _validate
-
-_CO, _CONTRA = 1, 2  # codes of the covariant and contravariant slots in Shape.kinds
 
 
 @total_ordering

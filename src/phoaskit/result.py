@@ -24,10 +24,3 @@ class Failure:
 
 Result = Success | Failure
 
-
-def is_success(r: Result) -> bool:
-    return isinstance(r, Success)
-
-
-def is_failure(r: Result) -> bool:
-    return isinstance(r, Failure)

@@ -72,6 +72,10 @@ class Node:
     SLOTS: ClassVar[tuple[Slot, ...]] = ()
 
 
+# the codes of Shape.kinds: a slot kind's position in SlotKind
+_STATIC, _CO, _CONTRA = range(len(SlotKind))
+
+
 class Shape:
     """The slot layout of one constructor class, compiled from ``SLOTS``.
 

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 from .lang import FULL, App, Err, Lam, Let, Lit, Plus
-from .signature import Signature
 from .term import Cxt, Term, Var, inject
 
 KEYWORDS = frozenset({"let", "in", "error"})
@@ -55,38 +54,42 @@ class ParseError(ValueError):
 
 
 # Named intermediate tree; also the shape the random generators produce.
+# A node built without a position gets the first one.
+
+_NOWHERE = SrcPos(1, 1)
+
 
 @dataclass(frozen=True)
 class NVar:
     name: str
-    pos: SrcPos
+    pos: SrcPos = _NOWHERE
 
 
 @dataclass(frozen=True)
 class NLam:
     name: str
     body: Any
-    pos: SrcPos
+    pos: SrcPos = _NOWHERE
 
 
 @dataclass(frozen=True)
 class NApp:
     fn: Any
     arg: Any
-    pos: SrcPos
+    pos: SrcPos = _NOWHERE
 
 
 @dataclass(frozen=True)
 class NLit:
     value: int
-    pos: SrcPos
+    pos: SrcPos = _NOWHERE
 
 
 @dataclass(frozen=True)
 class NPlus:
     lhs: Any
     rhs: Any
-    pos: SrcPos
+    pos: SrcPos = _NOWHERE
 
 
 @dataclass(frozen=True)
@@ -94,49 +97,20 @@ class NLet:
     name: str
     bound: Any
     body: Any
-    pos: SrcPos
+    pos: SrcPos = _NOWHERE
 
 
 @dataclass(frozen=True)
 class NErr:
-    pos: SrcPos
+    pos: SrcPos = _NOWHERE
 
 
 NAst = Any
 
-_NOWHERE = SrcPos(1, 1)
+nvar, nlam, napp, nlit, nplus, nlet, nerr = NVar, NLam, NApp, NLit, NPlus, NLet, NErr
 
 
-def nvar(name):
-    return NVar(name, _NOWHERE)
-
-
-def nlam(name, body):
-    return NLam(name, body, _NOWHERE)
-
-
-def napp(fn, arg):
-    return NApp(fn, arg, _NOWHERE)
-
-
-def nlit(value):
-    return NLit(value, _NOWHERE)
-
-
-def nplus(lhs, rhs):
-    return NPlus(lhs, rhs, _NOWHERE)
-
-
-def nlet(name, bound, body):
-    return NLet(name, bound, body, _NOWHERE)
-
-
-def nerr():
-    return NErr(_NOWHERE)
-
-
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # ident, int, keyword or a literal lexeme
     text: str
     pos: SrcPos
@@ -313,12 +287,9 @@ def to_preterm(
     raise TypeError(f"not a named tree: {ast!r}")
 
 
-def term_of_named(ast: NAst, sig: Signature = FULL, annotate: bool = False) -> Term:
-    """Build a closed term from an already-checked named tree."""
-    if annotate:
-        mk = lambda node, pos: inject(node, sig, ann=pos)
-    else:
-        mk = lambda node, pos: inject(node, sig)
+def term_of_named(ast: NAst, annotate: bool = False) -> Term:
+    """Build a closed term over ``FULL`` from an already-checked named tree."""
+    mk = lambda node, pos: inject(node, FULL, pos if annotate else None)
     return Term(lambda: to_preterm(ast, {}, mk))
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import total_ordering
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from .signature import (
     Ann,
@@ -37,10 +37,7 @@ from .signature import (
     _peel,
     _rewrap,
     fmap_co,
-    leaf_of,
-    map_slots,
     shape_of,
-    unwrap_node,
 )
 
 
@@ -115,49 +112,10 @@ def app_cxt(c: Cxt) -> Cxt:
     return c.payload
 
 
-def map_holes(f: Callable[[Any], Any], c: Cxt) -> Cxt:
-    """Map a function over every hole payload of a context."""
-    if isinstance(c, In):
-        return In(fmap_co(lambda child: map_holes(f, child), c.node))
-    if isinstance(c, Var):
-        return c
-    return Hole(f(c.payload))
-
-
 class _BoundToken:
     """Opaque token fed to binder slots; exposes nothing to inspect."""
 
     __slots__ = ()
-
-
-def iter_nodes(c: Cxt) -> Iterator[tuple[Node, Any]]:
-    """Yield ``(constructor_node, annotation)`` for every ``In`` node.
-
-    Binder slots are instantiated with opaque tokens so bodies are walked
-    exactly once.  Preorder, children in declaration order.
-    """
-    if isinstance(c, Var):
-        return
-    if isinstance(c, Hole):
-        payload = c.payload
-        if isinstance(payload, (In, Var, Hole)):
-            yield from iter_nodes(payload)
-        return
-    leaf, _, ann = unwrap_node(c.node)
-    yield leaf, ann
-    bind = lambda body: iter_nodes(body(_BoundToken()))
-    for nodes in map_slots(leaf, iter_nodes, bind, lambda _: ()):
-        yield from nodes
-
-
-def hole_count(c: Cxt) -> int:
-    """Number of holes in a context (binder bodies walked once)."""
-    if isinstance(c, Hole):
-        return 1
-    if isinstance(c, Var):
-        return 0
-    bind = lambda body: hole_count(body(_BoundToken()))
-    return sum(map_slots(leaf_of(c.node), hole_count, bind, lambda _: 0))
 
 
 def _validate(root: Cxt) -> Any:

@@ -130,6 +130,13 @@ def test_lifted_identity_keeps_nested_annotations():
     assert out == t
 
 
+def test_lifted_identity_keeps_annotations_between_sum_tags():
+    t = Term(lambda: In(Inr(Inr(Ann(Inl(Lit(1)), "mid")))))
+    out = app_term_hom(lift_ann_hom(identity_hom(FULL)), t)
+    assert annotations(out) == annotations(t) == [("Lit", "mid")]
+    assert out == t
+
+
 def test_lifted_desugar_puts_every_layer_on_every_produced_node():
     let = Let(i_lit(1), smart_binder(lambda x: x))
     t = Term(lambda: In(Ann(Ann(FULL.inj(let), "inner"), "outer")))

@@ -22,7 +22,8 @@ from phoaskit.lang import (
     i_plus,
     pretty,
 )
-from phoaskit.signature import Ann, Inl, Inr, leaf_of
+from phoaskit.hom import annotations
+from phoaskit.signature import Ann, Inl, Inr, leaf_of, map_slots
 from phoaskit.term import (
     ExoticTermError,
     Hole,
@@ -30,10 +31,7 @@ from phoaskit.term import (
     Term,
     Var,
     app_cxt,
-    hole_count,
     inject,
-    iter_nodes,
-    map_holes,
     project,
     smart_binder,
     var_of,
@@ -116,38 +114,37 @@ def test_app_cxt_merges_nested_contexts():
     assert merged == i_plus(t1, t2, CORE)
 
 
-def random_context(rng: random.Random, depth: int, payloads: list):
+def random_context(rng: random.Random, depth: int, payloads: list, wrap=Hole):
+    """A context of holes and its twin whose holes hold ``wrap(payload)``."""
     if depth == 0 or rng.random() < 0.4:
         payload = i_lit(rng.randrange(10), CORE)
         payloads.append(payload)
-        return Hole(payload)
-    return i_plus(
-        random_context(rng, depth - 1, payloads),
-        random_context(rng, depth - 1, payloads),
-        CORE,
+        return Hole(payload), Hole(wrap(payload))
+    (lhs, lhs_twin), (rhs, rhs_twin) = (
+        random_context(rng, depth - 1, payloads, wrap),
+        random_context(rng, depth - 1, payloads, wrap),
     )
+    return i_plus(lhs, rhs, CORE), i_plus(lhs_twin, rhs_twin, CORE)
+
+
+def count_holes(c) -> int:
+    """Holes of a binder-free context."""
+    if isinstance(c, Hole):
+        return 1
+    if isinstance(c, Var):
+        return 0
+    return sum(map_slots(leaf_of(c.node), count_holes, None, lambda _: 0))
 
 
 def test_app_cxt_keeps_exactly_the_payload_holes():
     rng = random.Random(7)
+    # payloads are themselves contexts with holes
+    wrap = lambda t: i_plus(Hole(t), i_lit(1, CORE), CORE)
     for _ in range(100):
         payloads = []
-        # payloads are themselves contexts with holes
-        ctx = random_context(rng, 3, payloads)
-        with_holes = map_holes(lambda t: i_plus(Hole(t), i_lit(1, CORE), CORE), ctx)
+        _, with_holes = random_context(rng, 3, payloads, wrap)
         merged = app_cxt(with_holes)
-        assert hole_count(merged) == len(payloads)
-
-
-def test_map_holes_passes_variables_through():
-    v = Var(object())
-    assert map_holes(lambda h: h, v) is v
-
-
-def test_iter_nodes_descends_into_hole_payloads():
-    ctx = i_plus(Hole(i_lit(1, CORE)), i_lit(2, CORE), CORE)
-    names = [type(leaf).__name__ for leaf, _ in iter_nodes(ctx)]
-    assert names == ["Plus", "Lit", "Lit"]
+        assert count_holes(merged) == len(payloads)
 
 
 def test_non_contexts_are_rejected():
@@ -158,13 +155,14 @@ def test_non_contexts_are_rejected():
 def test_map_holes_then_merge_is_identity():
     rng = random.Random(8)
     for _ in range(100):
-        ctx = random_context(rng, 3, [])
-        assert app_cxt(map_holes(Hole, ctx)) == ctx
+        ctx, twin = random_context(rng, 3, [])
+        assert app_cxt(twin) == ctx
 
 
 def test_closed_terms_contain_no_holes():
+    # validation rejects holes, so the rebuilt preterm is a term again
     for t in make_corpus(40, depth=4, seed=11):
-        assert hole_count(t.preterm()) == 0
+        assert Term(t.preterm) == t
 
 
 def test_term_builder_runs_once_per_instantiation():
@@ -255,7 +253,7 @@ def test_iter_nodes_walks_each_binder_body_once():
     t = Term(
         lambda: i_let(i_lit(2), lambda x: i_app(i_lam(lambda y: i_plus(y, x)), i_lit(3)))
     )
-    names = [type(leaf).__name__ for leaf, _ in iter_nodes(t.preterm())]
+    names = [name for name, _ in annotations(t)]
     assert names == ["Let", "Lit", "App", "Lam", "Plus", "Lit"]
 
 
@@ -264,6 +262,15 @@ def test_folds_see_the_validated_tree_of_a_changing_builder():
     t = Term(lambda: i_lit(next(counter)))
     for _ in range(3):
         assert cata(lambda node: leaf_of(node).value, t) == 0
-        assert [leaf.value for leaf, _ in iter_nodes(t.preterm())] == [0]
+        assert annotations(t) == [("Lit", None)]
         assert pretty(t) == "0"
     assert next(counter) == 1
+
+
+def test_public_names_resolve():
+    import phoaskit
+
+    assert [name for name in phoaskit.__all__ if not hasattr(phoaskit, name)] == []
+    namespace = {}
+    exec("from phoaskit import *", namespace)
+    assert set(phoaskit.__all__) <= set(namespace)
