@@ -54,6 +54,12 @@ def counted(phi: Callable) -> tuple[Callable, VisitCounter]:
     return wrapped, counter
 
 
+def _counted_cata(alg: Callable, t: Term) -> tuple[object, int]:
+    """Fold ``t`` with ``alg``: the result and the number of algebra applications."""
+    phi, counter = counted(alg)
+    return cata(phi, t), counter.count
+
+
 def _contains_let(ast: NAst) -> bool:
     match ast:
         case NLet(_, _, _, _):
@@ -111,14 +117,12 @@ class TermStats:
 def measure_term(t: Term) -> TermStats:
     """Visit counts for one term under both pipelines."""
     intermediate = desugar(t)
-    staged_phi, staged_counter = counted(eval_alg)
-    staged_result = cata(staged_phi, intermediate)
-    fused_phi, fused_counter = counted(fused_eval_alg)
-    fused_result = cata(fused_phi, t)
+    staged_result, staged_visits = _counted_cata(eval_alg, intermediate)
+    fused_result, fused_visits = _counted_cata(fused_eval_alg, t)
     return TermStats(
         nodes=node_count(t),
-        staged_visits=staged_counter.count,
-        fused_visits=fused_counter.count,
+        staged_visits=staged_visits,
+        fused_visits=fused_visits,
         intermediate_nodes=node_count(intermediate),
         staged_result=staged_result,
         fused_result=fused_result,
@@ -130,21 +134,12 @@ def run_bench(depth: int = 6, count: int = 100, seed: int = 42) -> dict:
     rng = random.Random(seed)
     terms = [bench_term(rng, depth) for _ in range(count)]
 
-    staged_visits = 0
-    fused_visits = 0
-
     start = time.perf_counter()
-    for t in terms:
-        phi, counter = counted(eval_alg)
-        cata(phi, desugar(t))
-        staged_visits += counter.count
+    staged_visits = sum(_counted_cata(eval_alg, desugar(t))[1] for t in terms)
     staged_ms = (time.perf_counter() - start) * 1000.0
 
     start = time.perf_counter()
-    for t in terms:
-        phi, counter = counted(fused_eval_alg)
-        cata(phi, t)
-        fused_visits += counter.count
+    fused_visits = sum(_counted_cata(fused_eval_alg, t)[1] for t in terms)
     fused_ms = (time.perf_counter() - start) * 1000.0
 
     return {

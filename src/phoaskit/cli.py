@@ -7,7 +7,8 @@ One subcommand per pass plus the benchmark:
 Expression arguments are taken literally; ``-`` reads standard input and
 an argument naming an existing file is read from that file.  Exit status:
 0 on success, 1 when evaluation fails (error/stuck), 2 on a parse error
-(reported on standard error with its position).
+(reported on standard error with its position), 3 when the recursion limit
+or memory is exceeded (one line on standard error naming which).
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from .surface import ParseError, parse
 EXIT_OK = 0
 EXIT_EVAL = 1
 EXIT_PARSE = 2
+EXIT_RESOURCE = 3
 
 
 def _parse(arg: str):
@@ -124,6 +126,11 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as err:
         print(err, file=sys.stderr)
         return EXIT_PARSE
+    except (RecursionError, MemoryError) as err:
+        depth = f"recursion limit ({sys.getrecursionlimit()} frames)"
+        limit = "memory limit" if isinstance(err, MemoryError) else depth
+        print(f"phoaskit: {limit} exceeded", file=sys.stderr)
+        return EXIT_RESOURCE
     if isinstance(out, Failure):
         print(f"error: {out.message}")
         return EXIT_EVAL

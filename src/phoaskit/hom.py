@@ -31,7 +31,7 @@ from functools import partial
 from typing import Any, Callable
 
 from .algebra import cata, free
-from .signature import Ann, Inl, Inr, Signature, _peel, _rewrap, fmap_co, leaf_of, map_slots, unwrap_node
+from .signature import Ann, Signature, fmap_co, leaf_of, map_slots, split_ann, unwrap_node
 from .term import Cxt, Hole, In, Term, Var, app_cxt, replay
 
 
@@ -127,21 +127,8 @@ def lift_ann_hom(rho: Callable[[Any], Cxt]) -> Callable[[Any], Cxt]:
     """
 
     def lifted(node) -> Cxt:
-        anns = []
-        while type(node) is Ann:  # outside the sum tags, where inject puts them
-            anns.append(node.ann)
-            node = node.node
-        probe = node
-        while type(probe) is Inl or type(probe) is Inr:
-            probe = probe.value
-        if type(probe) is Ann:  # a layer between the sum tags: rebuild without any
-            leaf, tags = _peel(node)
-            node = _rewrap(leaf, [pair for pair in tags if pair[0] is not Ann])
-            anns += [ann for tag, ann in reversed(tags) if tag is Ann]
-        if not anns:
-            return rho(node)
-        anns.reverse()  # innermost first, the order they are put back in
-        return _annotate(rho(node), anns)
+        node, anns = split_ann(node)
+        return _annotate(rho(node), anns) if anns else rho(node)
 
     return lifted
 
@@ -157,12 +144,7 @@ def _annotate(c: Cxt, anns: list) -> Cxt:
 
 def strip_ann(t: Term) -> Term:
     """Forget every annotation layer, preserving structure and sum tags."""
-
-    def step(node) -> Cxt:
-        leaf, tags = _peel(node)
-        return In(_rewrap(leaf, [pair for pair in tags if pair[0] is not Ann]))
-
-    return Term(lambda: replay(step, t.tree, Var))
+    return Term(lambda: replay(lambda node: In(split_ann(node)[0]), t.tree, Var))
 
 
 def annotations(t: Term) -> list[tuple[str, Any]]:
@@ -172,9 +154,16 @@ def annotations(t: Term) -> list[tuple[str, Any]]:
     annotation closest to the constructor; a node with none reports ``None``.
     """
 
-    def phi(node) -> list:
+    def phi(node) -> tuple:
+        # the node's pair, then its slots' results: None for variables and payloads
         leaf, _, ann = unwrap_node(node)
-        parts = map_slots(leaf, _identity, lambda body: body([]), lambda _: [])
-        return sum(parts, [(type(leaf).__name__, ann)])
+        slots = map_slots(leaf, _identity, lambda body: body(None), lambda _: None)
+        return ((type(leaf).__name__, ann), *slots)
 
-    return cata(phi, t)
+    out, stack = [], [cata(phi, t)]
+    while stack:  # preorder, without a Python frame per level
+        item = stack.pop()
+        if item is not None:
+            out.append(item[0])
+            stack.extend(reversed(item[1:]))
+    return out

@@ -10,12 +10,14 @@ application and addition associate to the left):
     app  ::= atom atom*
     atom ::= ident | integer | "error" | "(" expr ")"
 
-Parsing builds a named tree first, rejects unbound identifiers (terms are
-closed), then converts to a parametric term by environment-passing
-closure conversion: each binder becomes an embedded function extending
-the environment with its token's occurrence.  Inner bindings shadow outer
-ones.  Every construct can also be tagged with the source position of its
-first lexeme.
+Parsing builds a named tree, then converts it to a parametric term by
+environment-passing closure conversion: each binder becomes an embedded
+function extending the environment with its token's occurrence.  Inner
+bindings shadow outer ones.  Terms are closed: the parser keeps the names
+its enclosing binders bind and reports the first identifier, in source
+order, that none of them binds, unless the text has a syntax error, which
+is reported instead.  Every construct can also be tagged with the source
+position of its first lexeme.
 """
 from __future__ import annotations
 
@@ -147,6 +149,8 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.depth = 0
+        self.bound: list[str] = []  # the names of the enclosing binders, innermost last
+        self.unbound: _Token | None = None  # the first identifier none of them binds
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -180,17 +184,23 @@ class _Parser:
                 self.advance()
                 name = self.expect("ident").text
                 self.expect(".")
-                return NLam(name, self.expr(), tok.pos)
+                return NLam(name, self.scoped(name), tok.pos)
             if tok.kind == "let":
                 self.advance()
                 name = self.expect("ident").text
                 self.expect("=")
                 bound = self.expr()
                 self.expect("in")
-                return NLet(name, bound, self.expr(), tok.pos)
+                return NLet(name, bound, self.scoped(name), tok.pos)
             return self.sum()
         finally:
             self.depth -= 1
+
+    def scoped(self, name: str) -> NAst:
+        self.bound.append(name)  # a binder's body, in which ``name`` is bound
+        body = self.expr()
+        self.bound.pop()
+        return body
 
     def sum(self) -> NAst:
         node = self.app()
@@ -209,6 +219,8 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "ident":
             self.advance()
+            if self.unbound is None and tok.text not in self.bound:
+                self.unbound = tok
             return NVar(tok.text, tok.pos)
         if tok.kind == "int":
             self.advance()
@@ -225,30 +237,14 @@ class _Parser:
 
 
 def parse_named(text: str) -> NAst:
-    """Parse to the named tree, checking closedness."""
+    """Parse to the named tree, checking closedness after the syntax."""
     parser = _Parser(_lex(text))
     ast = parser.expr()
     if parser.peek().kind != "eof":
         raise parser.unexpected()
-    _check_closed(ast, frozenset())
+    if parser.unbound is not None:
+        raise ParseError(parser.unbound.pos, f"unbound identifier {parser.unbound.text!r}")
     return ast
-
-
-def _check_closed(ast: NAst, bound: frozenset[str]) -> None:
-    match ast:
-        case NVar(name, pos):
-            if name not in bound:
-                raise ParseError(pos, f"unbound identifier {name!r}")
-        case NLam(name, body, _):
-            _check_closed(body, bound | {name})
-        case NLet(name, expr, body, _):
-            _check_closed(expr, bound)
-            _check_closed(body, bound | {name})
-        case NApp(fn, arg, _) | NPlus(fn, arg, _):
-            _check_closed(fn, bound)
-            _check_closed(arg, bound)
-        case NLit(_, _) | NErr(_):
-            pass
 
 
 def to_preterm(

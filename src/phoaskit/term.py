@@ -190,9 +190,7 @@ def replay(phi: Callable, tree: Any, arg: Callable | None = None) -> Any:
 
     def binder(bound: tuple, env: dict) -> Callable:
         token, body = bound
-        if arg is None:
-            return lambda x: walk(body, {**env, token: x})
-        return lambda x: walk(body, {**env, token: arg(x)})
+        return lambda x: walk(body, {**env, token: x if arg is None else arg(x)})
 
     return walk(tree, {})
 

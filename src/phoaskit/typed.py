@@ -219,13 +219,14 @@ def _recipe(
     return lambda env: t_app(fn(env), arg(env))
 
 
-def typed_demo(family_size: int = 100, seed: int = 42) -> str:
+def typed_demo() -> str:
     """Build the worked example and exercise the no-stuck-state claim."""
     example = t_app(t_lam(INT, lambda x: t_plus(x, x)), t_lit(2))
     outcome = typed_eval(example)
     lines = ["typed core language demo"]
     lines.append(f"  (\\x. x + x) 2  ==>  {outcome.value}")
-    rng = random.Random(seed)
+    family_size = 100
+    rng = random.Random(42)
     family = (random_typed_term(rng, INT, depth=4) for _ in range(family_size))
     failures = sum(isinstance(typed_eval(t), Failure) for t in family)
     lines.append(

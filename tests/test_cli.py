@@ -100,6 +100,25 @@ def test_parse_errors_exit_2_with_position_on_stderr(capsys):
     assert "1:1: unbound identifier 'y'" in err
 
 
+def test_resource_failures_exit_3_with_one_line_and_no_traceback(capsys, monkeypatch, tmp_path):
+    chain = tmp_path / "chain.txt"
+    chain.write_text(" + ".join(["1"] * 1200))
+    env = {**os.environ, "PYTHONPATH": str(Path(phoaskit.__file__).resolve().parent.parent)}
+    for argv in (["eval", "(\\x. x x) (\\x. x x)"], ["pretty", str(chain)]):
+        done = subprocess.run(
+            [sys.executable, "-m", "phoaskit", *argv], capture_output=True, text=True, env=env
+        )
+        assert (done.returncode, done.stdout) == (3, ""), argv
+        assert len(done.stderr.splitlines()) == 1, done.stderr
+        assert "recursion limit" in done.stderr and "Traceback" not in done.stderr
+
+    def exhausted(t):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "pretty", exhausted)
+    assert run(capsys, "pretty", "1") == (3, "", "phoaskit: memory limit exceeded\n")
+
+
 def test_bench_command_json(capsys):
     code, out, _ = run(capsys, "bench", "--depth", "4", "--count", "5")
     assert code == 0

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 from conftest import results_equivalent
 from phoaskit.algebra import cata, node_count
@@ -214,6 +215,18 @@ def test_strip_ann_removes_annotations_between_sum_tags():
     assert Ann not in [tag for tag, _ in stripped.tree[2]]
     assert alpha_eq(stripped, Term(lambda: i_lit(1)))
     assert unwrap_node(stripped.preterm().node)[1] == path
+
+
+def test_annotations_of_a_2000_term_chain():
+    text = " + ".join(["1"] * 2000)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10_000)  # building and folding the term recurse once per level
+    try:
+        anns = annotations(parse_ann(text))
+    finally:
+        sys.setrecursionlimit(limit)
+    lits = [("Lit", SrcPos(1, 1 + 4 * k)) for k in range(2000)]
+    assert anns == [("Plus", SrcPos(1, 1))] * 1999 + lits
 
 
 def test_staged_pipeline_materializes_fused_does_not(monkeypatch):

@@ -10,7 +10,7 @@ import pytest
 from phoaskit.hom import annotations, strip_ann
 from phoaskit.lang import example_term, pretty
 from phoaskit.names import alpha_eq, struct_show
-from phoaskit.surface import ParseError, SrcPos, _lex, parse, parse_ann
+from phoaskit.surface import NLit, NPlus, ParseError, SrcPos, _lex, parse, parse_ann, parse_named
 from phoaskit.term import Term
 
 
@@ -39,6 +39,33 @@ def test_unbound_identifier_is_rejected():
         parse("y")
     assert err.value.message == "unbound identifier 'y'"
     assert err.value.pos == SrcPos(1, 1)
+
+
+def test_the_first_unbound_identifier_in_source_order_is_reported():
+    # a syntax error anywhere wins over an unbound identifier before it
+    cases = [
+        ("(\\x. y) z", SrcPos(1, 6), "unbound identifier 'y'"),
+        ("y (", SrcPos(1, 3), "unexpected end of input"),
+        ("let x = x in x", SrcPos(1, 9), "unbound identifier 'x'"),
+        ("(\\x. x) x", SrcPos(1, 9), "unbound identifier 'x'"),
+    ]
+    for text, pos, message in cases:
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.pos, err.value.message) == (pos, message), text
+
+
+def test_closedness_of_a_long_chain_is_checked_without_recursion():
+    # the parser loops over a sum or an application spine, and checks names as it goes
+    chain = " + ".join(["1"] * 2000)
+    ast = parse_named(chain)
+    for _ in range(1999):
+        assert isinstance(ast, NPlus)
+        ast = ast.lhs
+    assert ast == NLit(1)
+    with pytest.raises(ParseError) as err:
+        parse_named(chain + " + y")
+    assert (err.value.pos, err.value.message) == (SrcPos(1, 8001), "unbound identifier 'y'")
 
 
 def test_shadowing_binds_to_the_inner_binder():
@@ -149,6 +176,27 @@ def test_lexer_output_is_pinned_on_seeded_strings():
         digest.update(repr((text, out)).encode())
     assert min(outcomes.values()) > 1000
     assert digest.hexdigest()[:16] == "6f5dc5579f11865e"
+
+
+def test_parse_outcomes_are_pinned_on_seeded_token_strings():
+    # the named tree, or the error and its position, of token strings that
+    # mix syntax errors, unbound identifiers and closed terms
+    pieces = ["x", "y", "x", "y", "f", "\\", "\\x.", "\\y.", ".", "(", ")", "let", "in"]
+    pieces += ["=", "+", "1", "23", "error", " ", "\n"]
+    rng = random.Random(11)
+    digest = hashlib.sha256()
+    outcomes = {"parsed": 0, "unbound": 0, "syntax": 0}
+    for _ in range(20_000):
+        text = " ".join(rng.choice(pieces) for _ in range(rng.randrange(1, 12)))
+        try:
+            out = repr(parse_named(text))
+            outcomes["parsed"] += 1
+        except ParseError as err:
+            out = (err.message, err.pos.line, err.pos.column)
+            outcomes["unbound" if err.message.startswith("unbound") else "syntax"] += 1
+        digest.update(repr((text, out)).encode())
+    assert min(outcomes.values()) > 500
+    assert digest.hexdigest()[:16] == "20f651e52e2924ce"
 
 
 def test_parse_ann_accepts_exactly_the_same_language(corpus):
