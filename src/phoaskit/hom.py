@@ -19,20 +19,37 @@ lift over annotated signatures, propagating each source node's annotation
 onto every node the rule produced.
 
 A :class:`HomCases` rule table re-tags every constructor it has no rule
-for into its target signature.  ``app_hom``, ``app_term_hom`` and
-``compose_alg_hom`` send such a node, its slots already mapped, straight
-to ``In(target.inj(leaf))`` or ``phi(target.inj(leaf))``, skipping the
-context of holes that the general path builds and merges away again;
-other callables take that path.
+for into its target signature.  ``app_hom`` and ``compose_alg_hom`` send
+such a node, its slots already mapped, straight to ``In(target.inj(leaf))``
+or ``phi(target.inj(leaf))``, skipping the context of holes that the
+general path builds and merges away again; other callables take that path.
+``app_term_hom`` maps a rule table, lifted or not, from the source term's
+tree to the result's: a re-tagged node keeps its mapped slots and its
+binder tokens, since a homomorphism never looks into its holes, and only
+the contexts that rules produce are validated.
 """
 from __future__ import annotations
 
 from functools import partial
 from typing import Any, Callable
 
-from .algebra import cata, free
-from .signature import Ann, Signature, fmap_co, leaf_of, map_slots, split_ann, unwrap_node
-from .term import Cxt, Hole, In, Term, Var, app_cxt, replay
+from .algebra import free
+from .signature import _CO, _CONTRA, Ann, Signature, fmap_co, leaf_of, split_ann
+from .term import (
+    Cxt,
+    Hole,
+    In,
+    Term,
+    Var,
+    _BoundToken,
+    _map_tree,
+    _SourceBinder,
+    _Subtree,
+    _Trusted,
+    _validate,
+    app_cxt,
+    replay,
+)
 
 
 class HomCases:
@@ -55,10 +72,19 @@ class HomCases:
         return In(fmap_co(Hole, self.target.inj(leaf))) if rule is None else rule(leaf)
 
 
+class _LiftedCases(HomCases):
+    """:func:`lift_ann_hom` of a rule table."""
+
+    __slots__ = ()
+
+    def __call__(self, node) -> Cxt:
+        return _lifted(super().__call__, node)
+
+
 def _dispatch(rho: Callable[[Any], Cxt], retag: Callable, merge: Callable) -> Callable:
     # one node, its slots already mapped: a HomCases sends a constructor it has
     # no rule for to retag(target.inj(leaf)), every other context goes to merge
-    if not isinstance(rho, HomCases):
+    if type(rho) is not HomCases:
         return lambda node: merge(rho(node))
     cases, target = rho.cases, rho.target
 
@@ -83,10 +109,42 @@ def app_hom(rho: Callable[[Any], Cxt], c: Cxt) -> Cxt:
 def app_term_hom(rho: Callable[[Any], Cxt], t: Term) -> Term:
     """Apply a homomorphism underneath the closed-term wrapper.
 
-    The source's stored tree is folded once (:func:`~phoaskit.term.replay`),
-    one Python frame per covariant level.
+    A :class:`HomCases`, lifted or not, maps the source's tree to the
+    result's, without a Python frame per level.  A node without a rule
+    keeps its mapped slots and binder tokens under the target's tags.  A
+    rule gets the node with its children and binders standing for their
+    mapped trees, and only the context it returns is validated (see
+    :func:`~phoaskit.term._validate`).  Any other callable folds the
+    source's tree once (:func:`~phoaskit.term.replay`), one Python frame
+    per covariant level, and the result is validated.
     """
+    if isinstance(rho, HomCases):
+        return Term(_Trusted(_map_tree(t.tree, _tree_step(rho))))
     return Term(lambda: replay(_dispatch(rho, In, app_cxt), t.tree, Var))
+
+
+def _tree_step(rho: HomCases) -> Callable:
+    # the result's tree for one source node, its slots already mapped
+    cases, target = rho.cases, rho.target
+    lifted = type(rho) is _LiftedCases
+
+    def step(rec: tuple, values: tuple) -> Any:
+        shape, _, tags = rec
+        anns = tuple(pair for pair in tags if pair[0] is Ann) if lifted else ()
+        rule = cases.get(shape.cls)
+        if rule is None:
+            return shape, values, target.tags(shape.cls) + anns
+        owner = object()  # admits this node's children and binders in the rule's context only
+        slots = []
+        for kind, value in zip(shape.kinds, values):
+            if kind == _CO:
+                value = _Subtree(owner, value)
+            elif kind == _CONTRA:
+                value = _SourceBinder(owner, *value)
+            slots.append(value)
+        return _validate(rule(shape.make(*slots)), owner, anns)
+
+    return step
 
 
 def compose_hom(rho1: Callable, rho2: Callable) -> Callable[[Any], Cxt]:
@@ -123,14 +181,18 @@ def lift_ann_hom(rho: Callable[[Any], Cxt]) -> Callable[[Any], Cxt]:
     variables and holes stay untagged.  Multi-node rewrites (a sugared
     form expanding to several core nodes) thus spread the source
     annotations over all of their output, and the lifted identity is the
-    identity.
+    identity.  A lifted :class:`HomCases` is one still, so
+    :func:`app_term_hom` maps it tree to tree.
     """
+    if isinstance(rho, HomCases):
+        return _LiftedCases(rho.cases, rho.target)
+    return partial(_lifted, rho)
 
-    def lifted(node) -> Cxt:
-        node, anns = split_ann(node)
-        return _annotate(rho(node), anns) if anns else rho(node)
 
-    return lifted
+def _lifted(rho: Callable[[Any], Cxt], node) -> Cxt:
+    node, anns = split_ann(node)
+    out = rho(node)
+    return _annotate(out, anns) if anns else out
 
 
 def _annotate(c: Cxt, anns: list) -> Cxt:
@@ -144,7 +206,12 @@ def _annotate(c: Cxt, anns: list) -> Cxt:
 
 def strip_ann(t: Term) -> Term:
     """Forget every annotation layer, preserving structure and sum tags."""
-    return Term(lambda: replay(lambda node: In(split_ann(node)[0]), t.tree, Var))
+    return Term(_Trusted(_map_tree(t.tree, _strip_node)))
+
+
+def _strip_node(rec: tuple, values: tuple) -> tuple:
+    shape, _, tags = rec
+    return shape, values, tuple(pair for pair in tags if pair[0] is not Ann)
 
 
 def annotations(t: Term) -> list[tuple[str, Any]]:
@@ -153,17 +220,13 @@ def annotations(t: Term) -> list[tuple[str, Any]]:
     A node under several ``Ann`` layers reports the innermost one, the
     annotation closest to the constructor; a node with none reports ``None``.
     """
-
-    def phi(node) -> tuple:
-        # the node's pair, then its slots' results: None for variables and payloads
-        leaf, _, ann = unwrap_node(node)
-        slots = map_slots(leaf, _identity, lambda body: body(None), lambda _: None)
-        return ((type(leaf).__name__, ann), *slots)
-
-    out, stack = [], [cata(phi, t)]
-    while stack:  # preorder, without a Python frame per level
-        item = stack.pop()
-        if item is not None:
-            out.append(item[0])
-            stack.extend(reversed(item[1:]))
+    out, stack = [], [t.tree]
+    while stack:  # preorder over the tree, without a Python frame per level
+        rec = stack.pop()
+        if type(rec) is _BoundToken:
+            continue
+        shape, values, tags = rec
+        out.append((shape.name, next((ann for tag, ann in tags if tag is Ann), None)))
+        for i in reversed(shape.inner):
+            stack.append(values[i][1] if shape.kinds[i] == _CONTRA else values[i])
     return out

@@ -9,6 +9,7 @@ that tree and numbers the binders 1, 2, ... in slot order, the canonical
 supply of fresh names.  One walk produces a flat preorder key of the term:
 alpha-equivalent terms, and only they, get equal keys, so equality is key
 equality, the order is key order and ``hash(term)`` is the hash of the key.
+A term computes its key once, on first use, and keeps it.
 A second walk over the same tree prints the term with those names.
 """
 from __future__ import annotations
@@ -19,7 +20,7 @@ from functools import total_ordering
 from typing import Any
 
 from .signature import _CO, _CONTRA, Ann, Inl
-from .term import Cxt, Term, _BoundToken, _validate
+from .term import Cxt, Term, _alpha_key, _BoundToken, _validate
 
 
 @total_ordering
@@ -100,7 +101,7 @@ def alpha_eq(t1: Term, t2: Term) -> bool:
     ones do not.  Nodes must agree on every annotation layer, by the type
     name and the value of each annotation.
     """
-    return _key(t1.tree) == _key(t2.tree)
+    return _alpha_key(t1) == _alpha_key(t2)
 
 
 def alpha_compare(t1: Term, t2: Term) -> int:
@@ -115,7 +116,7 @@ def alpha_compare(t1: Term, t2: Term) -> int:
     orders first, since ``"bool" < "int"``.  Returns a negative, zero or
     positive int.
     """
-    k1, k2 = _key(t1.tree), _key(t2.tree)
+    k1, k2 = _alpha_key(t1), _alpha_key(t2)
     return 0 if k1 == k2 else (-1 if k1 < k2 else 1)
 
 

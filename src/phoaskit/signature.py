@@ -79,22 +79,25 @@ _STATIC, _CO, _CONTRA = range(len(SlotKind))
 class Shape:
     """The slot layout of one constructor class, compiled from ``SLOTS``.
 
-    ``name`` is the class name, ``kinds`` codes each slot by its position
-    in :class:`SlotKind`, ``co`` and ``contra`` index the covariant and
-    contravariant slots, ``values`` reads the slot values in order and
+    ``cls`` is the class and ``name`` its name, ``kinds`` codes each slot
+    by its position in :class:`SlotKind`, ``co`` and ``contra`` index the
+    covariant and contravariant slots and ``inner`` both kinds together, in
+    slot order; ``values`` reads the slot values in order and
     ``make`` rebuilds a node from them: positionally when ``SLOTS`` lists
     the dataclass fields in order, by keyword otherwise, so a reordered
     declaration never fills a wrong field.
     """
 
-    __slots__ = ("name", "kinds", "co", "contra", "values", "make")
+    __slots__ = ("cls", "name", "kinds", "co", "contra", "inner", "values", "make")
 
     def __init__(self, cls: type):
+        self.cls = cls
         self.name = cls.__name__
         names = tuple(slot.name for slot in cls.SLOTS)
         self.kinds = tuple(tuple(SlotKind).index(slot.kind) for slot in cls.SLOTS)
         self.co = tuple(i for i, s in enumerate(cls.SLOTS) if s.kind is SlotKind.COVARIANT)
         self.contra = tuple(i for i, s in enumerate(cls.SLOTS) if s.kind is SlotKind.CONTRAVARIANT)
+        self.inner = tuple(sorted(self.co + self.contra))
         get = attrgetter(*names) if names else None
         self.values = get if len(names) > 1 else lambda node: (get(node),) if get else ()
         ordered = is_dataclass(cls) and tuple(f.name for f in fields(cls) if not f.kw_only)
@@ -289,6 +292,7 @@ class Signature:
         self._witnesses = {
             cls: Subsumption(cls, self._path(i)) for i, cls in enumerate(summands)
         }
+        self._tags: dict[type, tuple] = {}
 
     def _path(self, index: int) -> str:
         n = len(self.summands)
@@ -309,6 +313,15 @@ class Signature:
 
     def inj(self, node: Node) -> Any:
         return self.witness(type(node)).inj(node)
+
+    def tags(self, cls: type) -> tuple:
+        """The ``(Inl | Inr, None)`` pairs of ``cls``'s injection path,
+        innermost first: the tags of an injected node in a term tree."""
+        tags = self._tags.get(cls)
+        if tags is None:
+            path = self.witness(cls).path
+            tags = self._tags[cls] = tuple((Inl if side == "L" else Inr, None) for side in reversed(path))
+        return tags
 
     def __repr__(self) -> str:
         return f"Signature({self.name})"

@@ -10,23 +10,26 @@ application and addition associate to the left):
     app  ::= atom atom*
     atom ::= ident | integer | "error" | "(" expr ")"
 
-Parsing builds a named tree, then converts it to a parametric term by
-environment-passing closure conversion: each binder becomes an embedded
-function extending the environment with its token's occurrence.  Inner
-bindings shadow outer ones.  Terms are closed: the parser keeps the names
-its enclosing binders bind and reports the first identifier, in source
-order, that none of them binds, unless the text has a syntax error, which
-is reported instead.  Every construct can also be tagged with the source
-position of its first lexeme.
+Parsing builds a named tree, then builds the term's validated tree from
+it directly (see :class:`~phoaskit.term.Term`): each binder gets one
+sealed token, and each name occurrence becomes the token of the innermost
+binder of that name, so inner bindings shadow outer ones.  No preterm or
+binder function is made on the way.  Terms are closed: the parser keeps
+the names its enclosing binders bind and reports the first identifier, in
+source order, that none of them binds, unless the text has a syntax
+error, which is reported instead.  Every construct can also be tagged
+with the source position of its first lexeme.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, NamedTuple
+from functools import cache
+from typing import Any, NamedTuple
 
 from .lang import FULL, App, Err, Lam, Let, Lit, Plus
-from .term import Cxt, Term, Var, inject
+from .signature import Ann, shape_of
+from .term import Term, _BoundToken, _Trusted
 
 KEYWORDS = frozenset({"let", "in", "error"})
 
@@ -112,6 +115,13 @@ NAst = Any
 nvar, nlam, napp, nlit, nplus, nlet, nerr = NVar, NLam, NApp, NLit, NPlus, NLet, NErr
 
 
+@cache
+def _named_shapes() -> dict:
+    # each named class -> the shape and FULL tags of its constructor
+    core = {NLam: Lam, NApp: App, NLit: Lit, NPlus: Plus, NErr: Err, NLet: Let}
+    return {cls: (shape_of(c), FULL.tags(c)) for cls, c in core.items()}
+
+
 class _Token(NamedTuple):
     kind: str  # ident, int, keyword or a literal lexeme
     text: str
@@ -139,8 +149,8 @@ def _lex(text: str) -> list[_Token]:
 
 _ATOM_STARTS = frozenset({"ident", "int", "error", "("})
 
-# recursive descent plus the later conversion and folds all recurse once
-# per nesting level; stay well clear of the host's recursion limit
+# recursive descent and the folds over the built term recurse once per
+# nesting level; stay well clear of the host's recursion limit
 MAX_NESTING = 160
 
 
@@ -247,46 +257,62 @@ def parse_named(text: str) -> NAst:
     return ast
 
 
-def to_preterm(
-    ast: NAst,
-    env: Mapping[str, Cxt],
-    mk: Callable[[Any, SrcPos], Cxt],
-) -> Cxt:
-    """Closure-convert a closed named tree into a preterm.
-
-    ``env`` maps bound names to the occurrence their binder passed in;
-    the conversion never looks at tokens, it only places them.
-    """
-    match ast:
-        case NVar(name, _):
-            return env[name]
-        case NLam(name, body, pos):
-            return mk(
-                Lam(lambda tok: to_preterm(body, {**env, name: Var(tok)}, mk)), pos
-            )
-        case NLet(name, bound, body, pos):
-            return mk(
-                Let(
-                    to_preterm(bound, env, mk),
-                    lambda tok: to_preterm(body, {**env, name: Var(tok)}, mk),
-                ),
-                pos,
-            )
-        case NApp(fn, arg, pos):
-            return mk(App(to_preterm(fn, env, mk), to_preterm(arg, env, mk)), pos)
-        case NPlus(lhs, rhs, pos):
-            return mk(Plus(to_preterm(lhs, env, mk), to_preterm(rhs, env, mk)), pos)
-        case NLit(value, pos):
-            return mk(Lit(value), pos)
-        case NErr(pos):
-            return mk(Err(), pos)
-    raise TypeError(f"not a named tree: {ast!r}")
-
-
 def term_of_named(ast: NAst, annotate: bool = False) -> Term:
-    """Build a closed term over ``FULL`` from an already-checked named tree."""
-    mk = lambda node, pos: inject(node, FULL, pos if annotate else None)
-    return Term(lambda: to_preterm(ast, {}, mk))
+    """Build a closed term over ``FULL`` from a named tree.
+
+    The term's tree is built directly, with an explicit stack instead of a
+    Python frame per level and one token per binder; with ``annotate``,
+    every node is tagged with its position.  A name that no enclosing
+    binder binds raises :class:`ParseError` at its position.
+    """
+    shapes = _named_shapes()
+    scopes: dict[str, list] = {}  # name -> the tokens binding it, innermost last
+    done: list = []
+    todo = [ast]
+    while todo:
+        item = todo.pop()
+        cls = type(item)
+        if cls is NVar:
+            tokens = scopes.get(item.name)
+            if not tokens:
+                raise ParseError(item.pos, f"unbound identifier {item.name!r}")
+            done.append(tokens[-1])
+            continue
+        if cls is tuple:
+            if len(item) == 2:  # the bound part of a let is done: its name is bound from here on
+                name, token = item
+                scopes.setdefault(name, []).append(token)
+                continue
+            shape, tags, name, token = item  # every child is done: build the node
+            n = len(shape.inner)
+            values = tuple(done[-n:])
+            del done[-n:]
+            if token is not None:
+                scopes[name].pop()
+                values = values[:-1] + ((token, values[-1]),)
+            done.append((shape, values, tags))
+            continue
+        try:
+            shape, tags = shapes[cls]
+        except KeyError:
+            raise TypeError(f"not a named tree: {item!r}") from None
+        if annotate:
+            tags += ((Ann, item.pos),)
+        if cls is NLit:
+            done.append((shape, (item.value,), tags))
+        elif cls is NErr:
+            done.append((shape, (), tags))
+        elif cls is NLam:
+            token = _BoundToken()
+            scopes.setdefault(item.name, []).append(token)
+            todo += ((shape, tags, item.name, token), item.body)
+        elif cls is NLet:
+            token = _BoundToken()
+            todo += ((shape, tags, item.name, token), item.body, (item.name, token), item.bound)
+        else:
+            first, second = (item.fn, item.arg) if cls is NApp else (item.lhs, item.rhs)
+            todo += ((shape, tags, None, None), second, first)
+    return Term(_Trusted(done[0]))
 
 
 def parse(text: str) -> Term:

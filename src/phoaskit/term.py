@@ -16,6 +16,11 @@ the consuming fold chooses, which is what makes one term reusable as input
 to printing, counting, evaluation and equality alike, and no builder or
 upstream pass runs again when a term, or a term derived from it, is folded.
 
+The tree is also what the parser and the homomorphisms produce: they build
+it directly, from a checked named tree or by mapping a validated tree
+(:func:`_map_tree`), and validate only the contexts that homomorphism
+rules return.  Every binder in a tree has a token of its own.
+
 Binders follow the smart-constructor convention: the stored slot receives
 a raw token and wraps it in ``Var`` before calling the user's body
 function, so body functions only ever see ``Var``-wrapped opaque tokens.
@@ -118,32 +123,70 @@ class _BoundToken:
     __slots__ = ()
 
 
-def _validate(root: Cxt) -> Any:
+class _Subtree:
+    # a child of the node a homomorphism rule rewrites: its mapped tree, which
+    # the rule's context may place once as it is, and again only as a copy
+    __slots__ = ("owner", "tree", "placed")
+
+    def __init__(self, owner: object, tree: Any):
+        self.owner, self.tree, self.placed = owner, tree, False
+
+
+class _SourceBinder:
+    # a binder of the node a homomorphism rule rewrites: called at a token of
+    # the rule's context, it stands for its mapped body with that token bound
+    __slots__ = ("owner", "token", "body", "placed")
+
+    def __init__(self, owner: object, token: _BoundToken, body: Any):
+        self.owner, self.token, self.body, self.placed = owner, token, body, False
+
+    def __call__(self, arg: Any) -> "_Instance":
+        return _Instance(self, arg)
+
+
+class _Instance:
+    __slots__ = ("owner", "binder", "arg")
+
+    def __init__(self, binder: _SourceBinder, arg: Any):
+        self.owner, self.binder, self.arg = binder.owner, binder, arg
+
+
+def _validate(root: Cxt, owner: object = None, extra: tuple = ()) -> Any:
     """Reject holes, foreign contexts and tokens used outside their binder.
 
     Returns the validated tree: a variable occurrence is its sealed token,
     and a node is ``(shape, values, tags)`` where ``values`` holds static
     payloads as they are, children as trees and each binder as ``(token,
     tree of its body)``, and ``tags`` holds the ``(type, ann)`` pairs of
-    the sum tags and annotations around the node, innermost first.  None
-    of the built preterm's own objects is kept.
+    the sum tags and annotations around the node, innermost first, then
+    ``extra``.  None of the built preterm's own objects is kept, and each
+    binder gets a token of its own.
+
+    With ``owner``, ``root`` is the context a homomorphism rule produced,
+    and the children and binders handed to that rule, which carry
+    ``owner``, are admitted as holes or in place of a context.  A child
+    goes in as its tree.  A source binder called at the variable of an
+    enclosing binder of the context goes in as its body with that variable
+    bound: its first use gives that binder the source binder's token, so
+    the body goes in as it is, unless the variable is already in the tree.
+    Any other use of a child or a source binder goes in as a copy with
+    fresh binders.
     """
     in_scope: set[int] = set()
+    handed: dict = {}  # a binder's token -> the source binder token it took over
+    placed: set = set()  # tokens already in the tree as themselves
 
     def walk(c: Cxt) -> Any:
         if isinstance(c, In):
             node, tags = _peel(c.node)
             shape = shape_of(type(node))
             values = shape.values(node)
-            if shape.co or shape.contra:
+            if shape.inner:
                 values = list(values)
-                for i in range(len(values)):  # in slot order, so bodies run in that order
-                    if i in shape.co:
-                        values[i] = walk(values[i])
-                    elif i in shape.contra:
-                        values[i] = bind(values[i])
+                for i in shape.inner:  # in slot order, so bodies run in that order
+                    values[i] = bind(values[i]) if i in shape.contra else walk(values[i])
                 values = tuple(values)
-            return shape, values, tuple(tags)
+            return shape, values, tuple(tags) + extra
         if isinstance(c, Var):
             token = c.token
             if not isinstance(token, _BoundToken) or id(token) not in in_scope:
@@ -151,20 +194,105 @@ def _validate(root: Cxt) -> Any:
                     "Var holds a value that was not supplied by an enclosing "
                     f"binder: {token!r}"
                 )
-            return token
+            return occurrence(token)
         if isinstance(c, Hole):
-            raise ExoticTermError("closed terms cannot contain holes")
+            if owner is None:
+                raise ExoticTermError("closed terms cannot contain holes")
+            if getattr(c.payload, "owner", None) is not owner:
+                raise ExoticTermError("a rule's hole holds no child or binder of its node")
+            return place(c.payload)
+        if owner is not None and type(c) in (_Subtree, _Instance) and c.owner is owner:
+            return place(c)
         raise ExoticTermError(f"not a context: {c!r}")
+
+    def occurrence(token: _BoundToken) -> Any:
+        if token in handed:
+            return handed[token]
+        placed.add(token)
+        return token
+
+    def place(w: _Subtree | _Instance) -> Any:
+        if type(w) is _Subtree:
+            if w.placed:
+                return _copy_tree(w.tree, {})
+            w.placed = True
+            return w.tree
+        binder, arg = w.binder, w.arg
+        if not isinstance(arg, _BoundToken) or id(arg) not in in_scope:
+            raise ExoticTermError(
+                f"a source binder was called with {arg!r}, not with the "
+                "variable of an enclosing binder"
+            )
+        if binder.placed or arg in handed or arg in placed:
+            return _copy_tree(binder.body, {binder.token: occurrence(arg)})
+        binder.placed = True
+        handed[arg] = binder.token
+        return binder.body
 
     def bind(body: Callable) -> tuple[_BoundToken, Any]:
         token = _BoundToken()
         in_scope.add(id(token))
         try:
-            return token, walk(body(token))
+            tree = walk(body(token))
         finally:
             in_scope.discard(id(token))
+        return handed.get(token, token), tree
 
     return walk(root)
+
+
+def _map_tree(tree: Any, node: Callable, subst: dict | None = None) -> Any:
+    """Map a validated tree bottom up, without a Python frame per level.
+
+    ``node(rec, values)`` gives the tree that stands for the node ``rec``,
+    whose children and binder bodies are already mapped in ``values``.
+    Binders keep their tokens, unless ``subst`` is given: then each binder
+    gets a fresh token, which ``subst`` records, and every variable is
+    looked up in ``subst``.
+    """
+    done: list = []
+    todo = [tree]
+    pop, push = todo.pop, todo.append
+    while todo:
+        rec = pop()
+        if type(rec) is _BoundToken:
+            done.append(rec if subst is None else subst.get(rec, rec))
+        elif len(rec) == 3:  # a node: its children and bodies first, then itself
+            shape, values, _ = rec
+            if not shape.inner:
+                done.append(node(rec, values))
+                continue
+            push((rec,))
+            for i in reversed(shape.inner):
+                value = values[i]
+                if i in shape.contra:
+                    if subst is not None:
+                        subst[value[0]] = _BoundToken()
+                    value = value[1]
+                push(value)
+        else:
+            rec = rec[0]
+            shape, values, _ = rec
+            inner = shape.inner
+            mapped = done[-len(inner):]
+            del done[-len(inner):]
+            values = list(values)
+            for i, value in zip(inner, mapped):
+                if i in shape.contra:
+                    token = values[i][0]
+                    value = (token if subst is None else subst[token], value)
+                values[i] = value
+            done.append(node(rec, tuple(values)))
+    return done[0]
+
+
+def _same_node(rec: tuple, values: tuple) -> tuple:
+    return rec[0], values, rec[2]
+
+
+def _copy_tree(tree: Any, subst: dict) -> Any:
+    # a copy with fresh binders, the free variables renamed by subst
+    return _map_tree(tree, _same_node, subst)
 
 
 def replay(phi: Callable, tree: Any, arg: Callable | None = None) -> Any:
@@ -209,12 +337,18 @@ class Term:
     body that folds its argument, a body that case-splits on its argument)
     are thereby either rejected outright or rendered inert, since bodies
     only ever receive an opaque token wrapped in ``Var``.
+
+    The parser and the homomorphisms build trees themselves, from checked
+    named trees and from validated trees, and hand them over wrapped in
+    :class:`_Trusted`; those are kept as they are.  A term's alpha key is
+    computed on first use and kept too.
     """
 
-    __slots__ = ("tree",)
+    __slots__ = ("tree", "_key")
 
-    def __init__(self, build: Callable[[], Cxt]):
-        self.tree = _validate(build())
+    def __init__(self, build: Callable[[], Cxt] | _Trusted):
+        self.tree = build.tree if type(build) is _Trusted else _validate(build())
+        self._key = None
 
     def preterm(self) -> Cxt:
         """Rebuild a fresh preterm from the validated tree.
@@ -246,7 +380,18 @@ class Term:
         return f"Term({struct_show(self)})"
 
 
-def _alpha_key(t: Term) -> tuple:
-    from .names import _key
+class _Trusted:
+    # a tree built in this package from a checked named tree or from validated trees
+    __slots__ = ("tree",)
 
-    return _key(t.tree)
+    def __init__(self, tree: Any):
+        self.tree = tree
+
+
+def _alpha_key(t: Term) -> tuple:
+    key = t._key
+    if key is None:
+        from .names import _key
+
+        key = t._key = _key(t.tree)
+    return key

@@ -4,6 +4,7 @@ from __future__ import annotations
 import random
 import sys
 
+import pytest
 from conftest import results_equivalent
 from phoaskit.algebra import cata, node_count
 from phoaskit.bench import bench_term, counted, measure_term
@@ -20,6 +21,8 @@ from phoaskit.hom import (
 )
 from phoaskit.lang import (
     CORE,
+    App,
+    Lam,
     FULL,
     Plus,
     _pretty_alg,
@@ -36,10 +39,10 @@ from phoaskit.lang import (
     Lit,
     i_lit,
 )
-from phoaskit.names import alpha_eq, preterm_eq
+from phoaskit.names import _key, alpha_eq, preterm_eq, struct_show
 from phoaskit.signature import Ann, Inl, Inr, leaf_of, unwrap_node
-from phoaskit.surface import SrcPos, parse, parse_ann
-from phoaskit.term import Hole, In, Term, Var, smart_binder
+from phoaskit.surface import NLet, NLit, NPlus, NVar, SrcPos, parse, parse_ann, term_of_named
+from phoaskit.term import ExoticTermError, Hole, In, Term, Var, smart_binder
 
 
 def swap_plus_hom(node):
@@ -314,3 +317,167 @@ def test_stacked_stages_apply_each_rule_once_per_node():
         assert [counter.count for _, counter in stages] == [n] * k
         assert alpha_eq(out, t)
         assert [counter.count for _, counter in stages] == [n] * k
+
+
+# Rule tables map the source tree to the result tree; these check that path
+# against the replay path, which any other callable takes.
+
+def opaque(rho):
+    """``rho`` as a plain callable, so that application replays and validates."""
+    return lambda node: rho(node)
+
+
+def binder_tokens(tree) -> list:
+    out, stack = [], [tree]
+    while stack:
+        rec = stack.pop()
+        if type(rec) is tuple:
+            shape, values, _ = rec
+            for i in shape.co:
+                stack.append(values[i])
+            for i in shape.contra:
+                out.append(values[i][0])
+                stack.append(values[i][1])
+    return out
+
+
+def lam(f, sig=FULL):
+    return In(sig.inj(Lam(f)))
+
+
+def app(fn, arg, sig=FULL):
+    return In(sig.inj(App(fn, arg)))
+
+
+def plus(lhs, rhs, sig=FULL):
+    return In(sig.inj(Plus(lhs, rhs)))
+
+
+def test_rules_cannot_build_exotic_terms():
+    t = parse("(\\x. x + 1) 2")
+    foreign = HomCases({Lit: lambda leaf: plus(Var(3), In(FULL.inj(leaf)))}, FULL)
+    with pytest.raises(ExoticTermError):
+        app_term_hom(foreign, t)
+
+    leaked, instances = [], []
+
+    def leak(leaf):
+        def body(v):
+            leaked.append(v)
+            instances.append(leaf.body(v))
+            return Hole(instances[-1])
+
+        return lam(body)
+
+    app_term_hom(HomCases({Lam: leak}, FULL), t)
+    for escape in (lambda leaf: Var(leaked[0]), lambda leaf: Hole(instances[0])):
+        with pytest.raises(ExoticTermError):
+            app_term_hom(HomCases({Lit: escape}, FULL), t)
+    # a token used after its binder, within one context (the second binder's
+    # body runs after the first's)
+    inside = []
+    later = lambda f: lam(lambda w: f())
+    outside = lambda leaf: app(
+        lam(lambda v: inside.append(v) or Hole(leaf.body(v))), later(lambda: Var(inside[-1]))
+    )
+    with pytest.raises(ExoticTermError):
+        app_term_hom(HomCases({Lam: outside}, FULL), t)
+    # a source binder called with anything but a variable of an enclosing binder
+    for arg in (lambda v: 42, lambda v: Var(v), lambda v: leaked[0]):
+        bad = lambda leaf, arg=arg: lam(lambda v: Hole(leaf.body(arg(v))))
+        with pytest.raises(ExoticTermError):
+            app_term_hom(HomCases({Lam: bad}, FULL), t)
+    after = lambda leaf: app(
+        lam(lambda v: inside.append(leaf.body(v)) or Var(v)), later(lambda: Hole(inside[-1]))
+    )
+    with pytest.raises(ExoticTermError):
+        app_term_hom(HomCases({Lam: after}, FULL), t)
+
+
+# \x. b  ~>  (\x. b) (\x. b): one source binder instantiated twice, in sequence
+def twice_in_sequence(leaf):
+    return app(lam(lambda v: Hole(leaf.body(v))), lam(lambda v: Hole(leaf.body(v))))
+
+
+# \x. b  ~>  \x. \y. b[x] (b[y] + x): the second instantiation is nested in the first
+def nested_twice(leaf):
+    return lam(lambda v: lam(lambda w: app(Hole(leaf.body(v)), plus(Hole(leaf.body(w)), Var(v)))))
+
+
+# \x. b  ~>  \x. \y. x (b[x] + b[y]): a binder's variable is placed before its body
+def variable_first(leaf):
+    return lam(lambda v: lam(lambda w: app(Var(v), plus(Hole(leaf.body(v)), Hole(leaf.body(w))))))
+
+
+# e1 + e2  ~>  (e1 + e2) + e1: a child holding binders placed twice
+def child_twice(leaf):
+    return plus(plus(Hole(leaf.lhs), Hole(leaf.rhs)), Hole(leaf.lhs))
+
+
+EVAL_TEXTS = [
+    "let x = 2 in (\\y. y + x) 3",
+    "(\\f. f (f 1)) (\\z. z + 2)",
+    "let g = \\a. \\b. a + b in g 1 2 + (g 3 4 + 5)",
+    "(\\x. x) error",
+]
+
+
+def test_duplicating_rules_agree_with_the_replay_path(corpus, ann_corpus):
+    for rule in (twice_in_sequence, nested_twice, variable_first, child_twice):
+        cls = Plus if rule is child_twice else Lam
+        rho = HomCases({cls: rule}, FULL)
+        for lift in (False, True):
+            hom, slow = (lift_ann_hom(rho), lift_ann_hom(opaque(rho))) if lift else (rho, opaque(rho))
+            for t in (ann_corpus if lift else corpus)[:60]:
+                out, want = app_term_hom(hom, t), app_term_hom(slow, t)
+                assert _key(out.tree) == _key(want.tree)
+                assert struct_show(out) == struct_show(want)
+                assert annotations(out) == annotations(want)
+                # every binder of the result has a token of its own
+                tokens = binder_tokens(out.tree)
+                assert len(set(map(id, tokens))) == len(tokens)
+        # rewritten terms can diverge; evaluate ones that do not
+        for text in EVAL_TEXTS:
+            t = parse(text)
+            out, want = app_term_hom(rho, t), app_term_hom(opaque(rho), t)
+            assert results_equivalent(eval_cbv(desugar(out)), eval_cbv(desugar(want)))
+
+
+def test_desugar_of_400_nested_lets_copies_no_body(monkeypatch):
+    import phoaskit.term as term_mod
+
+    n = 400
+    ast = NVar(f"x{n - 1}")
+    for i in reversed(range(n)):
+        ast = NLet(f"x{i}", NLit(0) if i == 0 else NPlus(NVar(f"x{i - 1}"), NLit(1)), ast)
+    t = term_of_named(ast)
+    copies = []
+    copy = term_mod._copy_tree
+    monkeypatch.setattr(term_mod, "_copy_tree", lambda *args: copies.append(1) or copy(*args))
+    out = desugar(t)
+    assert copies == []
+    want = f"x{n}"
+    for i in reversed(range(n)):
+        want = f"((\\x{i + 1}. {want}) {'0' if i == 0 else f'(x{i} + 1)'})"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10_000)  # pretty recurses a few frames per level
+    try:
+        assert pretty(out) == want
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_eight_stacked_stages_agree_with_the_staged_replay_path(corpus, ann_corpus):
+    swap = HomCases({Plus: lambda leaf: plus(Hole(leaf.rhs), Hole(leaf.lhs), CORE)}, CORE)
+    stages = [desugar_hom] + [swap, identity_hom(CORE)] * 3 + [swap]
+    assert len(stages) == 8
+    for lift in (False, True):
+        for t in (ann_corpus if lift else corpus)[:60]:
+            fast = slow = t
+            for rho in stages:
+                fast = app_term_hom(lift_ann_hom(rho) if lift else rho, fast)
+                slow = app_term_hom(lift_ann_hom(opaque(rho)) if lift else opaque(rho), slow)
+            assert fast == slow
+            assert annotations(fast) == annotations(slow)
+            assert pretty(strip_ann(fast)) == pretty(strip_ann(slow))
+            assert results_equivalent(eval_cbv(fast), eval_cbv(slow))

@@ -10,7 +10,17 @@ import pytest
 from phoaskit.hom import annotations, strip_ann
 from phoaskit.lang import example_term, pretty
 from phoaskit.names import alpha_eq, struct_show
-from phoaskit.surface import NLit, NPlus, ParseError, SrcPos, _lex, parse, parse_ann, parse_named
+from phoaskit.surface import (
+    NLit,
+    NPlus,
+    ParseError,
+    SrcPos,
+    _lex,
+    parse,
+    parse_ann,
+    parse_named,
+    term_of_named,
+)
 from phoaskit.term import Term
 
 
@@ -66,6 +76,32 @@ def test_closedness_of_a_long_chain_is_checked_without_recursion():
     with pytest.raises(ParseError) as err:
         parse_named(chain + " + y")
     assert (err.value.pos, err.value.message) == (SrcPos(1, 8001), "unbound identifier 'y'")
+
+
+def test_term_of_named_reports_an_unbound_name_as_the_parser_does():
+    from phoaskit.surface import nlam, nlet, nvar
+
+    with pytest.raises(ParseError) as err:
+        term_of_named(nlam("x", nvar("y", SrcPos(2, 7))))
+    assert (err.value.pos, err.value.message) == (SrcPos(2, 7), "unbound identifier 'y'")
+    with pytest.raises(ParseError) as parsed:
+        parse_named("\\x. y")
+    assert parsed.value.message == err.value.message
+    # a let's name is bound in its body only
+    with pytest.raises(ParseError) as err:
+        term_of_named(nlet("x", nvar("x", SrcPos(1, 9)), nvar("x")))
+    assert (err.value.pos, err.value.message) == (SrcPos(1, 9), "unbound identifier 'x'")
+
+
+def test_term_of_named_builds_a_10000_term_chain_without_recursion():
+    n = 10_000
+    ast = NLit(1)
+    for k in range(1, n):
+        ast = NPlus(ast, NLit(1, SrcPos(1, 1 + 4 * k)))
+    t = term_of_named(ast, annotate=True)
+    lits = [("Lit", SrcPos(1, 1 + 4 * k)) for k in range(n)]
+    assert annotations(t) == [("Plus", SrcPos(1, 1))] * (n - 1) + lits
+    assert annotations(strip_ann(t)) == [("Plus", None)] * (n - 1) + [("Lit", None)] * n
 
 
 def test_shadowing_binds_to_the_inner_binder():
