@@ -16,43 +16,27 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from .result import Failure, Result, Success
-from .signature import Signature, disequence, fmap_co, leaf_of, map_slots
+from .signature import Cases, MissingCaseError, Signature, disequence, fmap_co, map_slots
 from .term import Cxt, In, Term, Var, replay
 
 
-class MissingCaseError(LookupError):
-    """An assembled pass has no rule for a constructor it encountered."""
+def make_cases(cases: dict[type, Callable], default: Callable | None = None) -> Cases:
+    """Assemble a per-constructor function table into one rule table.
 
-
-def make_cases(
-    cases: dict[type, Callable], default: Callable | None = None
-) -> Callable[[Any], Any]:
-    """Assemble a per-constructor function table into one node function.
-
-    Sum tags and annotations are stripped before dispatch; ``default``
-    handles every constructor without an explicit rule.  This is the
-    artifact's stand-in for open algebra families: a pass lists special
-    rules and routes the rest to a default.
+    Every rule, and ``default`` for each constructor without an explicit
+    rule, takes the bare constructor (see :class:`~phoaskit.signature.Cases`).
+    This is the artifact's stand-in for open algebra families: a pass
+    lists special rules and routes the rest to a default.
     """
-
-    def apply(node):
-        leaf = leaf_of(node)
-        rule = cases.get(type(leaf), default)
-        if rule is None:
-            raise MissingCaseError(
-                f"no rule for constructor {type(leaf).__name__}"
-            )
-        return rule(leaf)
-
-    return apply
+    return Cases(cases, default)
 
 
 def cata_pre(phi: Callable, c: Cxt) -> Any:
     """Fold a preterm whose variable type is already the carrier."""
-    if isinstance(c, In):
-        return phi(fmap_co(lambda child: cata_pre(phi, child), c.node))
-    if isinstance(c, Var):
-        return c.token
+    return free(phi, _no_hole, c)
+
+
+def _no_hole(payload: Any) -> Any:
     raise TypeError("cata_pre folds hole-free preterms; use free for contexts")
 
 
@@ -97,25 +81,20 @@ def deep_project(t: Term, target: Signature) -> Term | None:
     source term must be binder-free (this is an effectful fold).
     """
 
-    def phi(node) -> Result:
-        leaf = leaf_of(node)
+    def retag(leaf) -> Result:
         w = target.find(type(leaf))
         if w is None:
-            return Failure(
-                f"{type(leaf).__name__} is not a summand of {target.name}"
-            )
+            return Failure(f"{type(leaf).__name__} is not a summand of {target.name}")
         return Success(In(w.inj(leaf)))
 
-    out = cata_m(phi, t)
-    if isinstance(out, Failure):
-        return None
-    return Term(lambda: out.value)
+    out = cata_m(Cases({}, retag), t)
+    return None if isinstance(out, Failure) else Term(lambda: out.value)
 
 
 def node_count(t: Term) -> int:
     """Number of constructor nodes, counting each binder body once."""
 
-    def phi(node) -> int:
-        return 1 + sum(map_slots(leaf_of(node), lambda n: n, lambda body: body(0), lambda _: 0))
+    def phi(leaf) -> int:
+        return 1 + sum(map_slots(leaf, lambda n: n, lambda body: body(0), lambda _: 0))
 
-    return cata(phi, t)
+    return cata(Cases({}, phi), t)

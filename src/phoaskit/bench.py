@@ -2,9 +2,9 @@
 
 The staged pipeline materializes the desugared term and then folds it;
 the fused pipeline folds the input once through the composed algebra.
-Visits are counted by wrapping the evaluation algebra, so a visit is one
-algebra application, variables are free, and the two pipelines are
-counted by the same instrument.
+Visits are counted by wrapping each rule of the evaluation algebra, so a
+visit is one algebra application, variables are free, and the two
+pipelines are counted by the same instrument.
 
 The generated workload keeps every binder applied exactly once (let
 bindings and immediately-applied lambdas, no error construct, integer
@@ -22,6 +22,7 @@ from typing import Callable
 
 from .algebra import cata, node_count
 from .lang import desugar, eval_alg, fused_eval_alg
+from .signature import Cases, _bare
 from .surface import (
     NAst,
     NLet,
@@ -44,14 +45,21 @@ class VisitCounter:
 
 
 def counted(phi: Callable) -> tuple[Callable, VisitCounter]:
-    """Wrap an algebra (or homomorphism) to count its applications."""
+    """Wrap an algebra (or homomorphism) to count its applications; a
+    :class:`~phoaskit.signature.Cases` table stays one, its rules counting."""
     counter = VisitCounter()
 
-    def wrapped(node):
-        counter.count += 1
-        return phi(node)
+    def count(rule: Callable) -> Callable:
+        def wrapped(node):
+            counter.count += 1
+            return rule(node)
 
-    return wrapped, counter
+        return wrapped
+
+    if _bare(phi):
+        rules = {cls: count(rule) for cls, rule in phi.cases.items()}
+        return Cases(rules, phi.default and count(phi.default)), counter
+    return count(phi), counter
 
 
 def _counted_cata(alg: Callable, t: Term) -> tuple[object, int]:

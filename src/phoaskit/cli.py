@@ -7,8 +7,9 @@ One subcommand per pass plus the benchmark:
 Expression arguments are taken literally; ``-`` reads standard input and
 an argument naming an existing file is read from that file.  Exit status:
 0 on success, 1 when evaluation fails (error/stuck), 2 on a parse error
-(reported on standard error with its position), 3 when the recursion limit
-or memory is exceeded (one line on standard error naming which).
+(reported on standard error with its position), 3 when the recursion limit,
+memory or the digit limit of int/str conversion is exceeded (one line on
+standard error naming which).
 """
 from __future__ import annotations
 
@@ -126,9 +127,15 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as err:
         print(err, file=sys.stderr)
         return EXIT_PARSE
-    except (RecursionError, MemoryError) as err:
-        depth = f"recursion limit ({sys.getrecursionlimit()} frames)"
-        limit = "memory limit" if isinstance(err, MemoryError) else depth
+    except (RecursionError, MemoryError, ValueError) as err:
+        if isinstance(err, RecursionError):
+            limit = f"recursion limit ({sys.getrecursionlimit()} frames)"
+        elif isinstance(err, MemoryError):
+            limit = "memory limit"
+        elif "integer string conversion" in str(err):  # past Python's int/str digit limit
+            limit = f"int/str conversion limit ({sys.get_int_max_str_digits()} digits)"
+        else:
+            raise
         print(f"phoaskit: {limit} exceeded", file=sys.stderr)
         return EXIT_RESOURCE
     if isinstance(out, Failure):

@@ -18,15 +18,15 @@ so staged pipelines can be collapsed into a single traversal.  They also
 lift over annotated signatures, propagating each source node's annotation
 onto every node the rule produced.
 
-A :class:`HomCases` rule table re-tags every constructor it has no rule
-for into its target signature.  ``app_hom`` and ``compose_alg_hom`` send
-such a node, its slots already mapped, straight to ``In(target.inj(leaf))``
-or ``phi(target.inj(leaf))``, skipping the context of holes that the
-general path builds and merges away again; other callables take that path.
-``app_term_hom`` maps a rule table, lifted or not, from the source term's
-tree to the result's: a re-tagged node keeps its mapped slots and its
-binder tokens, since a homomorphism never looks into its holes, and only
-the contexts that rules produce are validated.
+A :class:`HomCases` is a :class:`~phoaskit.signature.Cases` table whose
+default re-tags a constructor into its target signature, its children as
+holes.  ``app_term_hom`` maps such a table, lifted or not, from the source
+term's tree to the result's: a re-tagged node keeps its mapped slots and
+its binder tokens, since a homomorphism never looks into its holes, and
+only the contexts that rules produce are validated.  Fusing an algebra
+table after a ``HomCases`` gives a table again, by the fusion law: a
+re-tagged constructor goes to the algebra's own rule, and a rewritten one
+folds the context its rule produced.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from functools import partial
 from typing import Any, Callable
 
 from .algebra import free
-from .signature import _CO, _CONTRA, Ann, Signature, fmap_co, leaf_of, split_ann
+from .signature import _CO, _CONTRA, Ann, Cases, Signature, _bare, _identity, fmap_co, split_ann
 from .term import (
     Cxt,
     Hole,
@@ -52,24 +52,19 @@ from .term import (
 )
 
 
-class HomCases:
+class HomCases(Cases):
     """A homomorphism from per-constructor rules and a re-tag default.
 
-    The counterpart of :func:`~phoaskit.algebra.make_cases`: tags and
-    annotations are stripped before dispatch, and a constructor without a
-    rule is re-tagged into ``target`` with its children as holes.
+    A rule takes the bare constructor, its children and binders standing
+    for holes, and returns a context over ``target``; every constructor
+    without a rule is re-tagged into ``target`` with its children as holes.
     """
 
-    __slots__ = ("cases", "target")
+    __slots__ = ("target",)
 
     def __init__(self, cases: dict[type, Callable[[Any], Cxt]], target: Signature):
-        self.cases = cases
+        super().__init__(cases, lambda leaf: In(fmap_co(Hole, target.inj(leaf))))
         self.target = target
-
-    def __call__(self, node) -> Cxt:
-        leaf = leaf_of(node)
-        rule = self.cases.get(type(leaf))
-        return In(fmap_co(Hole, self.target.inj(leaf))) if rule is None else rule(leaf)
 
 
 class _LiftedCases(HomCases):
@@ -81,27 +76,11 @@ class _LiftedCases(HomCases):
         return _lifted(super().__call__, node)
 
 
-def _dispatch(rho: Callable[[Any], Cxt], retag: Callable, merge: Callable) -> Callable:
-    # one node, its slots already mapped: a HomCases sends a constructor it has
-    # no rule for to retag(target.inj(leaf)), every other context goes to merge
-    if type(rho) is not HomCases:
-        return lambda node: merge(rho(node))
-    cases, target = rho.cases, rho.target
-
-    def step(node):
-        leaf = leaf_of(node)
-        rule = cases.get(type(leaf))
-        return retag(target.inj(leaf)) if rule is None else merge(rule(leaf))
-
-    return step
-
-
 def app_hom(rho: Callable[[Any], Cxt], c: Cxt) -> Cxt:
     """Apply a homomorphism to a context (or preterm)."""
-    step = _dispatch(rho, In, app_cxt)
 
     def walk(c: Cxt) -> Cxt:
-        return step(fmap_co(walk, c.node)) if isinstance(c, In) else c
+        return app_cxt(rho(fmap_co(walk, c.node))) if isinstance(c, In) else c
 
     return walk(c)
 
@@ -120,7 +99,7 @@ def app_term_hom(rho: Callable[[Any], Cxt], t: Term) -> Term:
     """
     if isinstance(rho, HomCases):
         return Term(_Trusted(_map_tree(t.tree, _tree_step(rho))))
-    return Term(lambda: replay(_dispatch(rho, In, app_cxt), t.tree, Var))
+    return Term(lambda: replay(lambda node: app_cxt(rho(node)), t.tree, Var))
 
 
 def _tree_step(rho: HomCases) -> Callable:
@@ -153,12 +132,19 @@ def compose_hom(rho1: Callable, rho2: Callable) -> Callable[[Any], Cxt]:
 
 
 def compose_alg_hom(phi: Callable, rho: Callable) -> Callable[[Any], Any]:
-    """Fuse an algebra after a homomorphism into one algebra."""
-    return _dispatch(rho, phi, partial(free, phi, _identity))
+    """Fuse an algebra after a homomorphism into one algebra: a table, for
+    a :class:`~phoaskit.signature.Cases` after a :class:`HomCases`."""
+    if _bare(phi) and isinstance(rho, HomCases):
+        # rho re-tags each summand of its target it has no rule for, and no other class
+        retagged = {cls: phi.cases.get(cls, phi.default) for cls in rho.target.summands}
+        fused = {cls: _then(phi, rule) for cls, rule in rho.cases.items()}
+        return Cases({**retagged, **fused}, rho.target.inj)
+    return _then(phi, rho)
 
 
-def _identity(x):
-    return x
+def _then(phi: Callable, rho: Callable) -> Callable[[Any], Any]:
+    # phi folded over the context that rho makes of one node
+    return lambda node: free(phi, _identity, rho(node))
 
 
 def identity_hom(target: Signature) -> HomCases:

@@ -23,6 +23,7 @@ with the source position of its first lexeme.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from functools import cache
 from typing import Any, NamedTuple
@@ -234,7 +235,11 @@ class _Parser:
             return NVar(tok.text, tok.pos)
         if tok.kind == "int":
             self.advance()
-            return NLit(int(tok.text), tok.pos)
+            try:
+                return NLit(int(tok.text), tok.pos)
+            except ValueError:  # int() of [0-9]+ fails only past the int/str digit limit
+                limit = sys.get_int_max_str_digits()
+                raise ParseError(tok.pos, f"integer literal over the {limit}-digit limit") from None
         if tok.kind == "error":
             self.advance()
             return NErr(tok.pos)

@@ -39,6 +39,7 @@ from .signature import (
     Node,
     Signature,
     Subsumption,
+    _bare,
     _peel,
     _rewrap,
     fmap_co,
@@ -296,24 +297,28 @@ def _copy_tree(tree: Any, subst: dict) -> Any:
 
 
 def replay(phi: Callable, tree: Any, arg: Callable | None = None) -> Any:
-    """Fold a validated tree: each node, rebuilt with its tags, goes to ``phi``.
+    """Fold a validated tree: each node, its children folded first, goes to ``phi``.
 
-    Children are folded first; a binder becomes a function whose argument,
-    passed through ``arg`` when given, is what the binder's occurrences
-    fold to.  One Python frame per covariant level.
+    A :class:`~phoaskit.signature.Cases` rule gets the bare constructor,
+    any other callable the node rebuilt in its tags.  A binder becomes a
+    function whose argument, passed through ``arg`` when given, is what
+    the binder's occurrences fold to.  One Python frame per covariant level.
     """
+    rule = phi.rule if _bare(phi) else None
 
     def walk(rec: Any, env: dict) -> Any:
         if type(rec) is _BoundToken:
             return env[rec]
         shape, values, tags = rec
-        if shape.co or shape.contra:
+        if shape.inner:
             values = list(values)
             for i in shape.co:
                 values[i] = walk(values[i], env)
             for i in shape.contra:
                 values[i] = binder(values[i], env)
         node = shape.make(*values)
+        if rule is not None:
+            return rule(shape.cls)(node)
         return phi(_rewrap(node, tags) if tags else node)
 
     def binder(bound: tuple, env: dict) -> Callable:

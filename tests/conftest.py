@@ -13,7 +13,7 @@ import pytest
 
 from phoaskit.lang import Err, FunV, IntV, Lit, Plus, i_err, i_lit, i_plus
 from phoaskit.result import Failure
-from phoaskit.signature import Signature, SlotKind, unwrap_node
+from phoaskit.signature import Signature, SlotKind, _peel
 from phoaskit.surface import (
     NApp,
     NErr,
@@ -187,9 +187,9 @@ def values_equivalent(v1, v2, depth: int = 3) -> bool:
 
 def nodes_equal_extensional(n1, n2, args=SAMPLE_ARGS) -> bool:
     """Slot-by-slot node equality; function slots compared on sampled args."""
-    leaf1, path1, ann1 = unwrap_node(n1)
-    leaf2, path2, ann2 = unwrap_node(n2)
-    if type(leaf1) is not type(leaf2) or path1 != path2 or ann1 != ann2:
+    leaf1, tags1 = _peel(n1)
+    leaf2, tags2 = _peel(n2)
+    if type(leaf1) is not type(leaf2) or tags1 != tags2:
         return False
     for slot in leaf1.SLOTS:
         v1 = getattr(leaf1, slot.name)

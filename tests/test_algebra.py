@@ -20,17 +20,21 @@ from phoaskit.hom import app_term_hom, identity_hom
 from phoaskit.lang import (
     Err,
     Lit,
+    NameStream,
     Plus,
+    _pretty_alg,
     count_bound_var_uses,
     i_app,
     i_err,
     i_lam,
     i_lit,
     i_plus,
+    pretty,
 )
 from phoaskit.names import alpha_eq
 from phoaskit.result import Failure, Success
-from phoaskit.signature import TraversalError
+from phoaskit.signature import Ann, Cases, Inl, Inr, TraversalError
+from phoaskit.surface import parse_ann
 from phoaskit.term import Hole, Term, Var
 
 sum_alg = make_cases(
@@ -79,6 +83,24 @@ def test_missing_case_is_reported():
     phi = make_cases({Lit: lambda n: n.value})
     with pytest.raises(MissingCaseError):
         cata(phi, Term(lambda: i_plus(i_lit(1), i_lit(2))))
+
+
+def test_a_table_fold_hands_its_rules_bare_constructors(monkeypatch):
+    import phoaskit.term as term_mod
+
+    t = parse_ann("let x = 1 + 2 in (\\y. y + x) 3 + error")
+    rewraps, seen = [], []
+    rewrap = term_mod._rewrap
+    monkeypatch.setattr(term_mod, "_rewrap", lambda node, tags: rewraps.append(node) or rewrap(node, tags))
+
+    def recording(rule):
+        return lambda leaf: seen.append(type(leaf)) or rule(leaf)
+
+    phi = make_cases({cls: recording(rule) for cls, rule in _pretty_alg.cases.items()})
+    assert isinstance(phi, Cases)
+    assert cata(phi, t)(NameStream(1)) == pretty(t)
+    assert rewraps == []
+    assert len(seen) == node_count(t) and not {Ann, Inl, Inr} & set(seen)
 
 
 def test_cata_pre_refuses_holes():

@@ -4,8 +4,10 @@ from __future__ import annotations
 import json
 import random
 
-from phoaskit.bench import bench_json, bench_term, measure_term, run_bench
-from phoaskit.lang import CORE, i_lit, i_plus
+from phoaskit.algebra import cata, node_count
+from phoaskit.bench import bench_json, bench_term, counted, measure_term, run_bench
+from phoaskit.lang import CORE, desugar, eval_alg, fused_eval_alg, i_lit, i_plus
+from phoaskit.signature import Cases
 from phoaskit.term import Term
 
 
@@ -17,6 +19,15 @@ def test_fused_visits_equal_the_input_node_count():
         assert stats.fused_visits < stats.staged_visits
         assert stats.intermediate_nodes >= 1
         assert stats.staged_result == stats.fused_result
+
+
+def test_fused_and_counted_evaluators_are_rule_tables():
+    assert isinstance(fused_eval_alg, Cases)
+    phi, counter = counted(eval_alg)
+    assert isinstance(phi, Cases)
+    t = desugar(bench_term(random.Random(3), 4))
+    assert cata(phi, t) == cata(eval_alg, t)
+    assert counter.count == node_count(t)
 
 
 def test_let_free_terms_tie_the_pipelines():

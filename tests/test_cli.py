@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import phoaskit
 from phoaskit import cli
 from phoaskit.cli import main
@@ -98,6 +100,9 @@ def test_parse_errors_exit_2_with_position_on_stderr(capsys):
     code, _, err = run(capsys, "eval", "y")
     assert code == 2
     assert "1:1: unbound identifier 'y'" in err
+    limit = sys.get_int_max_str_digits()
+    code, _, err = run(capsys, "eval", "1 + " + "9" * (limit + 700))
+    assert (code, err) == (2, f"1:5: integer literal over the {limit}-digit limit\n")
 
 
 def test_resource_failures_exit_3_with_one_line_and_no_traceback(capsys, monkeypatch, tmp_path):
@@ -115,8 +120,23 @@ def test_resource_failures_exit_3_with_one_line_and_no_traceback(capsys, monkeyp
     def exhausted(t):
         raise MemoryError
 
+    # a result with more digits than int/str conversion allows
+    limit = sys.get_int_max_str_digits()
+    nines = "9" * (limit - 1)
+    doubled = f"let a = {nines} in let b = a + a in let c = b + b in let d = c + c in d + d"
+    message = f"phoaskit: int/str conversion limit ({limit} digits) exceeded\n"
+    for argv in (["constfold", " + ".join([nines] * 12)], ["eval", doubled], ["eval", "--fused", doubled]):
+        assert run(capsys, *argv) == (3, "", message), argv[0]
+
     monkeypatch.setattr(cli, "pretty", exhausted)
     assert run(capsys, "pretty", "1") == (3, "", "phoaskit: memory limit exceeded\n")
+
+    def other(t):
+        raise ValueError("not a conversion")
+
+    monkeypatch.setattr(cli, "pretty", other)
+    with pytest.raises(ValueError, match="not a conversion"):
+        main(["pretty", "1"])
 
 
 def test_bench_command_json(capsys):

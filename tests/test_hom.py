@@ -40,17 +40,22 @@ from phoaskit.lang import (
     i_lit,
 )
 from phoaskit.names import _key, alpha_eq, preterm_eq, struct_show
-from phoaskit.signature import Ann, Inl, Inr, leaf_of, unwrap_node
+from phoaskit.signature import Ann, Inl, Inr, SubsumptionError, _peel
 from phoaskit.surface import NLet, NLit, NPlus, NVar, SrcPos, parse, parse_ann, term_of_named
 from phoaskit.term import ExoticTermError, Hole, In, Term, Var, smart_binder
 
 
 def swap_plus_hom(node):
     """Test homomorphism on the core signature: flips addition."""
-    leaf = leaf_of(node)
+    leaf = _peel(node)[0]
     if isinstance(leaf, Plus):
         return In(CORE.inj(Plus(Hole(leaf.rhs), Hole(leaf.lhs))))
     return identity_hom(CORE)(node)
+
+
+def path_of(node) -> str:
+    """The injection path of a node, outermost first, its annotations skipped."""
+    return "".join("L" if tag is Inl else "R" for tag, _ in reversed(_peel(node)[1]) if tag is not Ann)
 
 
 def test_app_hom_identity_is_structural_identity(corpus):
@@ -99,11 +104,11 @@ def test_compose_with_identity_behaves_as_rho(corpus):
         assert preterm_eq(app_hom(right, t.preterm()), want)
 
 
-def test_algebra_fusion_for_pretty_count_eval(corpus):
+def test_algebra_fusion_for_pretty_count_eval(corpus, ann_corpus):
     count_fused = compose_alg_hom(count_alg, desugar_hom)
     pretty_fused = compose_alg_hom(_pretty_alg, desugar_hom)
     eval_fused_alg = compose_alg_hom(eval_alg, desugar_hom)
-    for t in corpus:
+    for t in corpus + ann_corpus:
         staged = desugar(t)
         assert cata(count_alg, staged) == cata(count_fused, t)
         lhs = cata(_pretty_alg, staged)(NameStream(1))
@@ -115,6 +120,9 @@ def test_algebra_composed_with_identity_is_the_algebra(corpus):
     phi = compose_alg_hom(count_alg, identity_hom(FULL))
     for t in corpus[:50]:
         assert cata(phi, t) == cata(count_alg, t)
+    # as after app_term_hom, a constructor outside the target is an error
+    with pytest.raises(SubsumptionError):
+        cata(compose_alg_hom(count_alg, identity_hom(CORE)), parse("let x = 1 in x"))
 
 
 def test_fused_evaluation_of_the_running_example():
@@ -125,6 +133,7 @@ def test_lifted_identity_preserves_annotations(ann_corpus):
     rho = lift_ann_hom(identity_hom(FULL))
     for t in ann_corpus[:50]:
         assert annotations(app_term_hom(rho, t)) == annotations(t)
+        assert cata(rho, t).node.ann == annotations(t)[0][1]
 
 
 def test_lifted_identity_keeps_nested_annotations():
@@ -217,7 +226,7 @@ def test_strip_ann_removes_annotations_between_sum_tags():
     stripped = strip_ann(t)
     assert Ann not in [tag for tag, _ in stripped.tree[2]]
     assert alpha_eq(stripped, Term(lambda: i_lit(1)))
-    assert unwrap_node(stripped.preterm().node)[1] == path
+    assert path_of(stripped.preterm().node) == path
 
 
 def test_annotations_of_a_2000_term_chain():
@@ -261,7 +270,7 @@ def recording(phi):
     paths = []
 
     def rec(node):
-        paths.append(unwrap_node(node)[1])
+        paths.append(path_of(node))
         return phi(node)
 
     return rec, paths
@@ -287,9 +296,10 @@ def test_retag_fast_path_agrees_with_the_general_path(corpus, ann_corpus):
                 fast = fold(compose_alg_hom(fast_phi, rho), t)
                 slow = fold(compose_alg_hom(slow_phi, opaque), t)
                 assert same(fast, slow)
-                # the fast path hands the algebra the injected node, not the bare leaf
+                # an algebra that is not a table gets the injected node, not the bare leaf
                 assert fast_paths == slow_paths
                 assert all(path for path in fast_paths)
+                assert same(fold(compose_alg_hom(phi, rho), t), slow)  # the fused table
 
 
 def test_retag_fast_path_keeps_one_visit_per_input_node():

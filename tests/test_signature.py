@@ -14,6 +14,7 @@ from phoaskit.lang import CORE, FULL, App, Err, Lam, Let, Lit, Plus
 from phoaskit.result import Failure, Success
 from phoaskit.signature import (
     Ann,
+    Cases,
     Inl,
     Inr,
     Node,
@@ -25,7 +26,7 @@ from phoaskit.signature import (
     dimap,
     disequence,
     fmap_co,
-    leaf_of,
+    _peel,
     shape_of,
 )
 
@@ -179,9 +180,10 @@ def test_ambiguous_summand_rejected_at_assembly():
         Signature((Lit, Plus, Lit))
 
 
-def test_leaf_of_sees_through_tags_and_annotations():
+def test_peel_and_cases_see_through_tags_and_annotations():
     node = Ann(CORE.inj(Lit(3)), "here")
-    assert leaf_of(node) == Lit(3)
+    assert _peel(node) == (Lit(3), [*CORE.tags(Lit), (Ann, "here")])
+    assert Cases({Lit: lambda leaf: leaf})(node) == Lit(3)
 
 
 def test_disequence_no_slots():
@@ -273,7 +275,7 @@ def test_dimap_and_disequence_under_hand_built_deep_layers():
     assert disequence(lifted) == Success(Ann(Inr(Ann(Inl(Inr(Plus(1, 2))), "b")), "a"))
     failing = Inl(Inl(Ann(Inr(Plus(Success(1), Failure("e"))), 0)))
     assert disequence(failing) == Failure("e")
-    assert leaf_of(node) == Plus(1, 2)
+    assert _peel(node)[0] == Plus(1, 2)
 
 
 def test_dimap_and_disequence_under_3_to_5_mixed_layers():

@@ -23,7 +23,7 @@ from phoaskit.lang import (
     pretty,
 )
 from phoaskit.hom import annotations
-from phoaskit.signature import Ann, Inl, Inr, leaf_of, map_slots
+from phoaskit.signature import Ann, Inl, Inr, _peel, map_slots
 from phoaskit.term import (
     ExoticTermError,
     Hole,
@@ -133,7 +133,7 @@ def count_holes(c) -> int:
         return 1
     if isinstance(c, Var):
         return 0
-    return sum(map_slots(leaf_of(c.node), count_holes, None, lambda _: 0))
+    return sum(map_slots(_peel(c.node)[0], count_holes, None, lambda _: 0))
 
 
 def test_app_cxt_keeps_exactly_the_payload_holes():
@@ -261,7 +261,7 @@ def test_folds_see_the_validated_tree_of_a_changing_builder():
     counter = itertools.count()
     t = Term(lambda: i_lit(next(counter)))
     for _ in range(3):
-        assert cata(lambda node: leaf_of(node).value, t) == 0
+        assert cata(lambda node: _peel(node)[0].value, t) == 0
         assert annotations(t) == [("Lit", None)]
         assert pretty(t) == "0"
     assert next(counter) == 1
