@@ -20,17 +20,6 @@ from .signature import Cases, MissingCaseError, Signature, disequence, fmap_co, 
 from .term import Cxt, In, Term, Var, replay
 
 
-def make_cases(cases: dict[type, Callable], default: Callable | None = None) -> Cases:
-    """Assemble a per-constructor function table into one rule table.
-
-    Every rule, and ``default`` for each constructor without an explicit
-    rule, takes the bare constructor (see :class:`~phoaskit.signature.Cases`).
-    This is the artifact's stand-in for open algebra families: a pass
-    lists special rules and routes the rest to a default.
-    """
-    return Cases(cases, default)
-
-
 def cata_pre(phi: Callable, c: Cxt) -> Any:
     """Fold a preterm whose variable type is already the carrier."""
     return free(phi, _no_hole, c)

@@ -104,7 +104,7 @@ def app_term_hom(rho: Callable[[Any], Cxt], t: Term) -> Term:
 
 def _tree_step(rho: HomCases) -> Callable:
     # the result's tree for one source node, its slots already mapped
-    cases, target = rho.cases, rho.target
+    cases, witness = rho.cases, rho.target.witness
     lifted = type(rho) is _LiftedCases
 
     def step(rec: tuple, values: tuple) -> Any:
@@ -112,7 +112,7 @@ def _tree_step(rho: HomCases) -> Callable:
         anns = tuple(pair for pair in tags if pair[0] is Ann) if lifted else ()
         rule = cases.get(shape.cls)
         if rule is None:
-            return shape, values, target.tags(shape.cls) + anns
+            return shape, values, witness(shape.cls).tags + anns
         owner = object()  # admits this node's children and binders in the rule's context only
         slots = []
         for kind, value in zip(shape.kinds, values):
@@ -203,8 +203,10 @@ def _strip_node(rec: tuple, values: tuple) -> tuple:
 def annotations(t: Term) -> list[tuple[str, Any]]:
     """Preorder list of ``(constructor name, annotation)`` pairs.
 
-    A node under several ``Ann`` layers reports the innermost one, the
-    annotation closest to the constructor; a node with none reports ``None``.
+    A node under several ``Ann`` layers reports the innermost one that is
+    not ``None``, the annotation closest to the constructor, and a node
+    with none reports ``None``; so equal terms, whose keys skip the inner
+    ``None`` layers, report equal lists.
     """
     out, stack = [], [t.tree]
     while stack:  # preorder over the tree, without a Python frame per level
@@ -212,7 +214,7 @@ def annotations(t: Term) -> list[tuple[str, Any]]:
         if type(rec) is _BoundToken:
             continue
         shape, values, tags = rec
-        out.append((shape.name, next((ann for tag, ann in tags if tag is Ann), None)))
+        out.append((shape.name, next((ann for tag, ann in tags if tag is Ann and ann is not None), None)))
         for i in reversed(shape.inner):
             stack.append(values[i][1] if shape.kinds[i] == _CONTRA else values[i])
     return out

@@ -20,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, ClassVar
 
-from .algebra import cata, make_cases
+from .algebra import cata
 from .hom import HomCases, app_term_hom, compose_alg_hom
 from .result import Failure, Result, Success
-from .signature import Node, Signature, Slot, dimap
+from .signature import Cases, Node, Signature, Slot, dimap
 from .term import Cxt, Hole, In, Term, Var, inject, project, smart_binder
 
 
@@ -134,7 +134,7 @@ def _const(value):
 # against the tail, while application and addition hand the same stream to
 # both children (so sibling branches may reuse names, deliberately).
 
-_pretty_alg = make_cases(
+_pretty_alg = Cases(
     {
         Lam: lambda n: lambda xs: "(\\" + xs.head + ". " + n.body(_const(xs.head))(xs.tail) + ")",
         App: lambda n: lambda xs: "(" + n.fn(xs) + " " + n.arg(xs) + ")",
@@ -165,7 +165,7 @@ def _reinject(sig: Signature) -> Callable[[Node], Cxt]:
     return lambda leaf: In(sig.inj(dimap(Var, lambda x: x, leaf)))
 
 
-_desugar_alg = make_cases(
+_desugar_alg = Cases(
     {Let: lambda n: i_app(i_lam(n.body, CORE), n.bound, CORE)},
     default=_reinject(CORE),
 )
@@ -217,7 +217,7 @@ def const_fold(t: Term, sig: Signature = FULL) -> Term:
             return i_lit(left.value + right.value, sig)
         return i_plus(n.lhs, n.rhs, sig)
 
-    phi = make_cases({Plus: fold_plus}, default=_reinject(sig))
+    phi = Cases({Plus: fold_plus}, default=_reinject(sig))
     return Term(lambda: cata(phi, t))
 
 
@@ -265,7 +265,7 @@ def _eval_plus(n: Plus) -> Result:
     return Failure("stuck")
 
 
-eval_alg = make_cases(
+eval_alg = Cases(
     {
         Lam: _eval_lam,
         App: _eval_app,
@@ -296,7 +296,7 @@ def eval_fused(t: Term) -> Result:
 # Bound-variable occurrence counting: binder slots are applied to 1, so
 # every use of the bound variable contributes one.
 
-count_alg = make_cases(
+count_alg = Cases(
     {
         Lam: lambda n: n.body(1),
         App: lambda n: n.fn + n.arg,

@@ -43,6 +43,9 @@ class Name:
         return self.index < other.index
 
 
+_NO_ORDER = object.__lt__  # the `<` that a type without an order of its own inherits
+
+
 def _key(tree: Any) -> tuple:
     """The canonical key of a validated tree (see ``term._validate``).
 
@@ -52,9 +55,11 @@ def _key(tree: Any) -> tuple:
     the tuple of its annotation layers (outermost first, each as ``(ann is
     not None, type name, ann)``, trailing ``None`` layers dropped), its
     constructor name, and then its slots in order: static values as they
-    are, children and binder bodies as keys.  The constructor fixes the
-    number of slots, so the key of a node ends where its last slot does,
-    and comparing keys compares terms lexicographically node by node.
+    are, children and binder bodies as keys.  An annotation or static value
+    whose type has no ``<`` of its own stands as ``(repr(value), value)``.
+    The constructor fixes the number of slots, so the key of a node ends
+    where its last slot does, and comparing keys compares terms
+    lexicographically node by node.
     """
     key: list = []
     numbers: dict = {}
@@ -72,7 +77,10 @@ def _key(tree: Any) -> tuple:
                 path = ("L" if tag is Inl else "R") + path
         while anns and anns[0] is None:
             del anns[0]
-        layers = tuple((ann is not None, type(ann).__name__, ann) for ann in reversed(anns))
+        layers = tuple(
+            (ann is not None, type(ann).__name__, ann if type(ann).__lt__ is not _NO_ORDER else (repr(ann), ann))
+            for ann in reversed(anns)
+        )
         key.extend((1, path, layers, shape.name))
         for kind, value in zip(shape.kinds, values):
             if kind == _CO:
@@ -82,7 +90,7 @@ def _key(tree: Any) -> tuple:
                 numbers[token] = len(numbers) + 1
                 walk(body)
             else:
-                key.append(value)
+                key.append(value if type(value).__lt__ is not _NO_ORDER else (repr(value), value))
 
     walk(tree)
     return tuple(key)
@@ -113,8 +121,10 @@ def alpha_compare(t1: Term, t2: Term) -> int:
     each layer a missing annotation orders first, then annotations by type
     name, then by value.  Two annotations are equal only when their type
     names and their values are: ``True`` and ``1`` differ, and ``True``
-    orders first, since ``"bool" < "int"``.  Returns a negative, zero or
-    positive int.
+    orders first, since ``"bool" < "int"``.  An annotation or static
+    payload whose type defines no ``<`` (a sort ``TArrow``, say) orders by
+    its ``repr`` and then by equality, so the order is total on such terms
+    too.  Returns a negative, zero or positive int.
     """
     k1, k2 = _alpha_key(t1), _alpha_key(t2)
     return 0 if k1 == k2 else (-1 if k1 < k2 else 1)

@@ -215,6 +215,8 @@ class MissingCaseError(LookupError):
 class Cases:
     """A rule table: a rule per constructor class, ``default`` for the rest.
 
+    This is the stand-in for open algebra families: a pass lists its
+    special rules and routes every other constructor to the default.
     Rules take the bare constructor: a fold calls ``rule(shape.cls)`` on
     the node it rebuilds, without sum tags or annotations, and the table
     called on a node looks through them first.
@@ -251,6 +253,8 @@ def _bare(phi: Any) -> bool:
 class Subsumption:
     """Injection/projection witness for one summand of a signature.
 
+    ``tags`` is the summand's injection path as the ``(Inl | Inr, None)``
+    pairs, innermost first, that a term tree stores for an injected node.
     ``proj(inj(n)) is n`` for every node ``n`` of the summand, and
     ``proj`` answers ``None`` for nodes that took any other path into the
     sum.  Annotation layers are looked through wherever they sit: around
@@ -258,7 +262,7 @@ class Subsumption:
     """
 
     summand: type
-    path: str
+    tags: tuple
 
     def inj(self, node: Node) -> Any:
         if not isinstance(node, self.summand):
@@ -266,14 +270,12 @@ class Subsumption:
                 f"cannot inject {type(node).__name__} with a "
                 f"{self.summand.__name__} witness"
             )
-        for side in reversed(self.path):
-            node = Inl(node) if side == "L" else Inr(node)
-        return node
+        return _rewrap(node, self.tags)
 
     def proj(self, node: Any) -> Node | None:
         leaf, tags = _peel(node)
-        path = "".join("L" if tag is Inl else "R" for tag, _ in reversed(tags) if tag is not Ann)
-        return leaf if path == self.path and isinstance(leaf, self.summand) else None
+        tags = tuple(pair for pair in tags if pair[0] is not Ann)
+        return leaf if tags == self.tags and isinstance(leaf, self.summand) else None
 
 
 class Signature:
@@ -281,8 +283,11 @@ class Signature:
 
     The nesting is implicit in the summand order: ``Signature((A, B, C))``
     stands for ``A + (B + C)``, so the injection paths are ``L``, ``RL``
-    and ``RR``.  Witness search is leftmost-first and a class occurring
-    twice is rejected here rather than at use sites.
+    and ``RR``, read outermost first: the i-th of n summands sits under i
+    ``Inr`` tags, and under an ``Inl`` inside them unless it is the last.
+    Each witness holds its path as tag pairs.  Witness search is
+    leftmost-first and a class occurring twice is rejected here rather
+    than at use sites.
     """
 
     def __init__(self, summands: tuple[type, ...], name: str | None = None):
@@ -298,18 +303,11 @@ class Signature:
             seen.add(cls)
         self.summands = tuple(summands)
         self.name = name or "+".join(cls.__name__ for cls in summands)
+        last = len(summands) - 1
         self._witnesses = {
-            cls: Subsumption(cls, self._path(i)) for i, cls in enumerate(summands)
+            cls: Subsumption(cls, ((Inl, None),) * (i < last) + ((Inr, None),) * i)
+            for i, cls in enumerate(summands)
         }
-        self._tags: dict[type, tuple] = {}
-
-    def _path(self, index: int) -> str:
-        n = len(self.summands)
-        if n == 1:
-            return ""
-        if index < n - 1:
-            return "R" * index + "L"
-        return "R" * (n - 1)
 
     def find(self, cls: type) -> Subsumption | None:
         return self._witnesses.get(cls)
@@ -322,15 +320,6 @@ class Signature:
 
     def inj(self, node: Node) -> Any:
         return self.witness(type(node)).inj(node)
-
-    def tags(self, cls: type) -> tuple:
-        """The ``(Inl | Inr, None)`` pairs of ``cls``'s injection path,
-        innermost first: the tags of an injected node in a term tree."""
-        tags = self._tags.get(cls)
-        if tags is None:
-            path = self.witness(cls).path
-            tags = self._tags[cls] = tuple((Inl if side == "L" else Inr, None) for side in reversed(path))
-        return tags
 
     def __repr__(self) -> str:
         return f"Signature({self.name})"

@@ -120,7 +120,7 @@ nvar, nlam, napp, nlit, nplus, nlet, nerr = NVar, NLam, NApp, NLit, NPlus, NLet,
 def _named_shapes() -> dict:
     # each named class -> the shape and FULL tags of its constructor
     core = {NLam: Lam, NApp: App, NLit: Lit, NPlus: Plus, NErr: Err, NLet: Let}
-    return {cls: (shape_of(c), FULL.tags(c)) for cls, c in core.items()}
+    return {cls: (shape_of(c), FULL.witness(c).tags) for cls, c in core.items()}
 
 
 class _Token(NamedTuple):

@@ -22,11 +22,11 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Callable
 
-from .algebra import cata, make_cases
+from .algebra import cata
 from .hom import strip_ann
 from .lang import CORE, App, Err, FunV, IntV, Lam, Lit, Plus
 from .result import Failure, Result, Success
-from .signature import Ann
+from .signature import Ann, Cases
 from .term import In, Term, Var, inject
 
 
@@ -109,7 +109,7 @@ def _first_failure(*results: Result) -> Failure | None:
 
 # The carrier is a fallible raw value: an int, or a function from the
 # domain's raw values to fallible codomain values.
-_typed_eval_alg = make_cases(
+_typed_eval_alg = Cases(
     {
         Lam: lambda n: Success(lambda v: n.body(Success(v))),
         App: lambda n: _first_failure(n.fn, n.arg) or n.fn.value(n.arg.value),

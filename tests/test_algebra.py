@@ -13,7 +13,6 @@ from phoaskit.algebra import (
     cata_pre,
     deep_project,
     free,
-    make_cases,
     node_count,
 )
 from phoaskit.hom import app_term_hom, identity_hom
@@ -37,7 +36,7 @@ from phoaskit.signature import Ann, Cases, Inl, Inr, TraversalError
 from phoaskit.surface import parse_ann
 from phoaskit.term import Hole, Term, Var
 
-sum_alg = make_cases(
+sum_alg = Cases(
     {Lit: lambda n: n.value, Plus: lambda n: n.lhs + n.rhs, Err: lambda n: 0}
 )
 
@@ -80,7 +79,7 @@ def test_cata_instantiates_builder_once_and_visits_every_node():
 
 
 def test_missing_case_is_reported():
-    phi = make_cases({Lit: lambda n: n.value})
+    phi = Cases({Lit: lambda n: n.value})
     with pytest.raises(MissingCaseError):
         cata(phi, Term(lambda: i_plus(i_lit(1), i_lit(2))))
 
@@ -96,7 +95,7 @@ def test_a_table_fold_hands_its_rules_bare_constructors(monkeypatch):
     def recording(rule):
         return lambda leaf: seen.append(type(leaf)) or rule(leaf)
 
-    phi = make_cases({cls: recording(rule) for cls, rule in _pretty_alg.cases.items()})
+    phi = Cases({cls: recording(rule) for cls, rule in _pretty_alg.cases.items()})
     assert isinstance(phi, Cases)
     assert cata(phi, t)(NameStream(1)) == pretty(t)
     assert rewraps == []
@@ -116,7 +115,7 @@ def test_cata_m_of_lifted_pure_algebra_is_pure_cata():
 
 
 def test_cata_m_sequences_left_to_right():
-    phi = make_cases(
+    phi = Cases(
         {
             Lit: lambda n: Failure(f"big:{n.value}") if n.value >= 10 else Success(n.value),
             Plus: lambda n: Success(n.lhs + n.rhs),
@@ -170,7 +169,7 @@ def test_deep_project_present_when_all_nodes_project():
     small = deep_project(t, LIT_PLUS)
     assert small is not None
     # every node of the result lives in the smaller signature
-    assert cata(make_cases({Lit: lambda n: 1, Plus: lambda n: 1 + n.lhs + n.rhs}), small) == 5
+    assert cata(Cases({Lit: lambda n: 1, Plus: lambda n: 1 + n.lhs + n.rhs}), small) == 5
 
 
 def test_deep_project_requires_a_binder_free_source():

@@ -40,6 +40,7 @@ from phoaskit.surface import (
 )
 from phoaskit.signature import Ann
 from phoaskit.term import In, Term
+from phoaskit.typed import INT, TArrow, random_typed_term, t_lam, t_lit
 
 
 def lam(f):
@@ -144,6 +145,28 @@ def test_alpha_compare_total_order_properties(corpus):
             assert alpha_compare(a, c) <= 0
 
 
+def test_alpha_compare_is_total_on_values_without_an_order():
+    # sorts are annotations of a type without an order of its own: they order by repr
+    ident = Term(lambda: t_lam(INT, lambda x: x))
+    const = Term(lambda: t_lam(TArrow(INT, INT), lambda x: t_lit(1)))
+    assert alpha_compare(ident, const) == -alpha_compare(const, ident) != 0
+    assert sorted([ident, const]) == sorted([const, ident])
+    rng = random.Random(17)
+    sorts = (INT, TArrow(INT, INT), TArrow(TArrow(INT, INT), INT))
+    typed = [random_typed_term(rng, sort, depth=3) for sort in sorts for _ in range(10)]
+    # and so do static payloads
+    payloads = (TArrow(INT, INT), TArrow(INT, TArrow(INT, INT)), TArrow(INT, INT))
+    terms = [ident, const] + [Term(lambda t=t: t) for t in typed] + [Term(lambda v=v: i_lit(v)) for v in payloads]
+    ordered = sorted(terms)
+    for a, b in zip(ordered, ordered[1:]):
+        assert alpha_compare(a, b) <= 0
+    for a in terms:
+        for b in terms:
+            assert alpha_compare(a, b) == -alpha_compare(b, a)
+            assert (alpha_compare(a, b) == 0) == alpha_eq(a, b) == (a == b)
+    assert terms[-1] == terms[-3] != terms[-2]
+
+
 def test_alpha_compare_on_payloads():
     one = Term(lambda: i_lit(1))
     two = Term(lambda: i_lit(2))
@@ -156,6 +179,7 @@ def test_struct_show_golden_example():
         struct_show(example_term())
         == "Let (Lit 2) (\\a -> App (Lam (\\b -> Plus b a)) (Lit 3))"
     )
+    assert repr(example_term()) == f"Term({struct_show(example_term())})"
 
 
 def test_struct_show_single_node():

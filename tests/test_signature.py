@@ -134,6 +134,9 @@ def test_inj_builds_the_right_nested_path():
     assert CORE.inj(Lit(5)) == Inr(Inr(Inl(Lit(5))))
     assert FULL.inj(Let(1, ident)).__class__ is Inr
     assert CORE.inj(Lam(ident)) == Inl(Lam(ident))
+    # the last summand has no Inl, and a lone summand no tag at all
+    assert CORE.inj(Err()) == Inr(Inr(Inr(Inr(Err()))))
+    assert Signature((Lit,)).inj(Lit(5)) == Lit(5)
 
 
 def test_proj_inj_round_trip_exhaustive():
@@ -182,7 +185,7 @@ def test_ambiguous_summand_rejected_at_assembly():
 
 def test_peel_and_cases_see_through_tags_and_annotations():
     node = Ann(CORE.inj(Lit(3)), "here")
-    assert _peel(node) == (Lit(3), [*CORE.tags(Lit), (Ann, "here")])
+    assert _peel(node) == (Lit(3), [*CORE.witness(Lit).tags, (Ann, "here")])
     assert Cases({Lit: lambda leaf: leaf})(node) == Lit(3)
 
 

@@ -91,6 +91,9 @@ def test_term_of_named_reports_an_unbound_name_as_the_parser_does():
     with pytest.raises(ParseError) as err:
         term_of_named(nlet("x", nvar("x", SrcPos(1, 9)), nvar("x")))
     assert (err.value.pos, err.value.message) == (SrcPos(1, 9), "unbound identifier 'x'")
+    # a value that is not a named tree at all
+    with pytest.raises(TypeError, match="not a named tree: 42"):
+        term_of_named(42)
 
 
 def test_term_of_named_builds_a_10000_term_chain_without_recursion():

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from phoaskit.lang import eval_cbv
+from phoaskit.lang import FunV, IntV, eval_cbv
 from phoaskit.names import struct_show
 from phoaskit.result import Failure, Success
 from phoaskit.typed import (
@@ -111,6 +111,17 @@ def test_erasure_coherence_on_generated_terms():
         sort = TArrow(INT, INT)
         term = random_typed_term(rng, sort, depth=3)
         assert results_agree(sort, typed_eval(term), eval_cbv(erase(term)))
+
+
+def test_results_agree_rejects_results_that_differ():
+    ident = Success(lambda v: Success(v))
+    assert results_agree(INT, Success(3), Success(IntV(3)))
+    assert not results_agree(INT, Success(3), Success(IntV(4)))
+    assert not results_agree(INT, Success(3), Success(FunV(lambda v: Success(v))))
+    assert results_agree(TArrow(INT, INT), ident, Success(FunV(lambda v: Success(v))))
+    assert not results_agree(TArrow(INT, INT), ident, Success(IntV(1)))
+    assert not results_agree(TArrow(INT, INT), ident, Success(FunV(lambda v: Success(IntV(0)))))
+    assert not results_agree(INT, Failure("error"), Success(IntV(0)))
 
 
 def test_erasure_coherence_with_errors():
