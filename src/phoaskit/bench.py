@@ -21,8 +21,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .algebra import cata, node_count
+from .hom import HomCases
 from .lang import desugar, eval_alg, fused_eval_alg
-from .signature import Cases, _bare
+from .signature import Cases
 from .surface import (
     NAst,
     NLet,
@@ -46,7 +47,7 @@ class VisitCounter:
 
 def counted(phi: Callable) -> tuple[Callable, VisitCounter]:
     """Wrap an algebra (or homomorphism) to count its applications; a
-    :class:`~phoaskit.signature.Cases` table stays one, its rules counting."""
+    table stays a table of its class, its rules counting (a re-tag is no rule)."""
     counter = VisitCounter()
 
     def count(rule: Callable) -> Callable:
@@ -56,8 +57,10 @@ def counted(phi: Callable) -> tuple[Callable, VisitCounter]:
 
         return wrapped
 
-    if _bare(phi):
+    if isinstance(phi, Cases):
         rules = {cls: count(rule) for cls, rule in phi.cases.items()}
+        if isinstance(phi, HomCases):
+            return type(phi)(rules, phi.target), counter
         return Cases(rules, phi.default and count(phi.default)), counter
     return count(phi), counter
 

@@ -8,39 +8,29 @@ inspecting them.  Application merges the produced contexts:
                  Var(x) -> Var(x)
                  Hole(h)-> Hole(h)
 
-Unlike general folds, homomorphisms compose: with another homomorphism
-(``compose_hom``) and with an algebra (``compose_alg_hom``), satisfying
+A homomorphism is a :class:`HomCases`, a rule table whose default
+re-tags a constructor into the target signature, its children as holes;
+the functions here that take one, but ``app_hom``, raise ``TypeError``
+on anything else.  Homomorphisms compose into a ``HomCases``
+(``compose_hom``), fuse with an algebra into a table (``compose_alg_hom``)
+and lift over annotated signatures (``lift_ann_hom``), satisfying
 
     app_hom(r1) . app_hom(r2) == app_hom(compose_hom(r1, r2))
     cata(phi) . app_term_hom(rho) == cata(compose_alg_hom(phi, rho))
 
-so staged pipelines can be collapsed into a single traversal.  They also
-lift over annotated signatures, propagating each source node's annotation
-onto every node the rule produced.
-
-A :class:`HomCases` is a :class:`~phoaskit.signature.Cases` table whose
-default re-tags a constructor into its target signature, its children as
-holes.  ``app_term_hom`` maps such a table, lifted or not, from the source
-term's tree to the result's: a re-tagged node keeps its mapped slots and
-its binder tokens, since a homomorphism never looks into its holes, and
-only the contexts that rules produce are validated.  Fusing an algebra
-table after a ``HomCases`` gives a table again, by the fusion law: a
-re-tagged constructor goes to the algebra's own rule, and a rewritten one
-folds the context its rule produced.
+so staged pipelines can be collapsed into a single traversal.
 """
 from __future__ import annotations
 
-from functools import partial
 from typing import Any, Callable
 
 from .algebra import free
-from .signature import _CO, _CONTRA, Ann, Cases, Signature, _bare, _identity, fmap_co, split_ann
+from .signature import _CO, _CONTRA, Ann, Cases, Signature, _bare, _identity, _peel, dimap, fmap_co
 from .term import (
     Cxt,
     Hole,
     In,
     Term,
-    Var,
     _BoundToken,
     _map_tree,
     _SourceBinder,
@@ -48,7 +38,6 @@ from .term import (
     _Trusted,
     _validate,
     app_cxt,
-    replay,
 )
 
 
@@ -73,11 +62,37 @@ class _LiftedCases(HomCases):
     __slots__ = ()
 
     def __call__(self, node) -> Cxt:
-        return _lifted(super().__call__, node)
+        leaf, tags = _peel(node)
+        anns = [ann for tag, ann in tags if tag is Ann]  # wherever they sit among the sum tags
+        if not anns:
+            return self.rule(type(leaf))(leaf)
+        kept: dict = {}  # the children and body instances the rule got, alive for the call, so no id is reused
+
+        def keep(c: Cxt) -> Cxt:
+            kept[id(c)] = c
+            return c
+
+        return _annotate(self.rule(type(leaf))(dimap(_identity, keep, leaf)), anns, kept)
+
+
+def _annotate(c: Cxt, anns: list, kept: dict) -> Cxt:
+    # every node the rule built goes under the layers; what it placed as it is stays so
+    if isinstance(c, In) and id(c) not in kept:
+        node = fmap_co(lambda child: _annotate(child, anns, kept), c.node)
+        for ann in anns:
+            node = Ann(node, ann)
+        return In(node)
+    return c
+
+
+def _table(rho: Any) -> HomCases:
+    if not isinstance(rho, HomCases):
+        raise TypeError(f"a homomorphism is a HomCases table, not {type(rho).__name__}")
+    return rho
 
 
 def app_hom(rho: Callable[[Any], Cxt], c: Cxt) -> Cxt:
-    """Apply a homomorphism to a context (or preterm)."""
+    """Apply a homomorphism to a context (or preterm), by the definition above."""
 
     def walk(c: Cxt) -> Cxt:
         return app_cxt(rho(fmap_co(walk, c.node))) if isinstance(c, In) else c
@@ -85,21 +100,17 @@ def app_hom(rho: Callable[[Any], Cxt], c: Cxt) -> Cxt:
     return walk(c)
 
 
-def app_term_hom(rho: Callable[[Any], Cxt], t: Term) -> Term:
+def app_term_hom(rho: HomCases, t: Term) -> Term:
     """Apply a homomorphism underneath the closed-term wrapper.
 
-    A :class:`HomCases`, lifted or not, maps the source's tree to the
-    result's, without a Python frame per level.  A node without a rule
-    keeps its mapped slots and binder tokens under the target's tags.  A
-    rule gets the node with its children and binders standing for their
-    mapped trees, and only the context it returns is validated (see
-    :func:`~phoaskit.term._validate`).  Any other callable folds the
-    source's tree once (:func:`~phoaskit.term.replay`), one Python frame
-    per covariant level, and the result is validated.
+    The table, lifted or not, maps the source's tree to the result's,
+    without a Python frame per level.  A node without a rule keeps its
+    mapped slots and binder tokens under the target's tags, since a
+    homomorphism never looks into its holes.  A rule gets the node with its
+    children and binders standing for their mapped trees, and only the
+    context it returns is validated (see :func:`~phoaskit.term._validate`).
     """
-    if isinstance(rho, HomCases):
-        return Term(_Trusted(_map_tree(t.tree, _tree_step(rho))))
-    return Term(lambda: replay(lambda node: app_cxt(rho(node)), t.tree, Var))
+    return Term(_Trusted(_map_tree(t.tree, _tree_step(_table(rho)))))
 
 
 def _tree_step(rho: HomCases) -> Callable:
@@ -126,68 +137,58 @@ def _tree_step(rho: HomCases) -> Callable:
     return step
 
 
-def compose_hom(rho1: Callable, rho2: Callable) -> Callable[[Any], Cxt]:
-    """Fuse two homomorphisms into one traversal."""
-    return lambda node: app_hom(rho1, rho2(node))
+def compose_hom(rho1: HomCases, rho2: HomCases) -> HomCases:
+    """Fuse two homomorphisms, ``rho2`` first, into one over ``rho1.target``:
+    a class that ``rho2`` rewrites gets ``rho1`` applied to its rule's
+    context, any other ``rho1``'s own rule or the re-tag.  The result is
+    lifted when both tables are."""
+    _table(rho1), _table(rho2)
+    fused = {cls: _then(lambda c: app_hom(rho1, c), rule) for cls, rule in rho2.cases.items()}
+    lifted = type(rho1) is type(rho2) is _LiftedCases
+    return (_LiftedCases if lifted else HomCases)({**rho1.cases, **fused}, rho1.target)
 
 
-def compose_alg_hom(phi: Callable, rho: Callable) -> Callable[[Any], Any]:
-    """Fuse an algebra after a homomorphism into one algebra: a table, for
-    a :class:`~phoaskit.signature.Cases` after a :class:`HomCases`."""
-    if _bare(phi) and isinstance(rho, HomCases):
-        # rho re-tags each summand of its target it has no rule for, and no other class
-        retagged = {cls: phi.cases.get(cls, phi.default) for cls in rho.target.summands}
-        fused = {cls: _then(phi, rule) for cls, rule in rho.cases.items()}
-        return Cases({**retagged, **fused}, rho.target.inj)
-    return _then(phi, rho)
+def compose_alg_hom(phi: Callable, rho: HomCases) -> Cases:
+    """Fuse an algebra after a homomorphism into one table of rules on bare
+    constructors, so no annotation reaches ``phi``: a class that ``rho``
+    rewrites folds its rule's context with ``phi``, and a summand of
+    ``rho.target`` that ``rho`` re-tags goes to ``phi``'s own rule, or to
+    ``phi`` of the node injected into ``rho.target`` when ``phi`` is no
+    table.  Any other class raises ``SubsumptionError``, as when staged."""
+    target = _table(rho).target
+    # rho re-tags each summand of its target it has no rule for, and no other class
+    if _bare(phi):
+        retagged = {cls: phi.cases.get(cls, phi.default) for cls in target.summands}
+    else:
+        retagged = {cls: _then(phi, target.witness(cls).inj) for cls in target.summands}
+    fused = {cls: _then(lambda c: free(phi, _identity, c), rule) for cls, rule in rho.cases.items()}
+    return Cases({**retagged, **fused}, target.inj)
 
 
-def _then(phi: Callable, rho: Callable) -> Callable[[Any], Any]:
-    # phi folded over the context that rho makes of one node
-    return lambda node: free(phi, _identity, rho(node))
+def _then(f: Callable, rule: Callable) -> Callable[[Any], Any]:
+    # f of what rule makes of one constructor
+    return lambda leaf: f(rule(leaf))
 
 
 def identity_hom(target: Signature) -> HomCases:
-    """Re-tag nodes into ``target`` without touching their structure.
-
-    This is both the identity homomorphism (when source and target agree)
-    and the default rule a pass assembly falls back to for constructors it
-    does not rewrite.  It also deep-injects terms over a sub-signature
-    into a larger one via :func:`app_term_hom`.
-    """
+    """Re-tag nodes into ``target``: the identity homomorphism when source
+    and target agree, and the deep injection of terms over a sub-signature
+    into a larger one otherwise."""
     return HomCases({}, target)
 
 
-def lift_ann_hom(rho: Callable[[Any], Cxt]) -> Callable[[Any], Cxt]:
+def lift_ann_hom(rho: HomCases) -> HomCases:
     """Lift a homomorphism to annotated signatures.
 
     The rule sees the source node without its annotation layers ``p1 ...
-    pk``, wherever they sit among the sum tags, and every node of the
-    context it produces is put under ``p1 ... pk``, innermost first;
-    variables and holes stay untagged.  Multi-node rewrites (a sugared
-    form expanding to several core nodes) thus spread the source
-    annotations over all of their output, and the lifted identity is the
-    identity.  A lifted :class:`HomCases` is one still, so
-    :func:`app_term_hom` maps it tree to tree.
+    pk``, wherever they sit among the sum tags, and every node that the
+    rule built is put under ``p1 ... pk``, innermost first; a child or
+    binder body that it placed as it got it, in a hole or not, stays as
+    it is.  Multi-node rewrites (a sugared form expanding to several core
+    nodes) thus spread the source annotations over their own output, and
+    the lifted identity is the identity.
     """
-    if isinstance(rho, HomCases):
-        return _LiftedCases(rho.cases, rho.target)
-    return partial(_lifted, rho)
-
-
-def _lifted(rho: Callable[[Any], Cxt], node) -> Cxt:
-    node, anns = split_ann(node)
-    out = rho(node)
-    return _annotate(out, anns) if anns else out
-
-
-def _annotate(c: Cxt, anns: list) -> Cxt:
-    if isinstance(c, In):
-        node = fmap_co(lambda child: _annotate(child, anns), c.node)
-        for ann in anns:
-            node = Ann(node, ann)
-        return In(node)
-    return c
+    return _LiftedCases(_table(rho).cases, rho.target)
 
 
 def strip_ann(t: Term) -> Term:

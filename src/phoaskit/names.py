@@ -16,15 +16,13 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from functools import total_ordering
 from typing import Any
 
 from .signature import _CO, _CONTRA, Ann, Inl
 from .term import Cxt, Term, _alpha_key, _BoundToken, _validate
 
 
-@total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Name:
     """An opaque distinct name; ordering and rendering follow the index."""
 
@@ -39,11 +37,17 @@ class Name:
     def __str__(self) -> str:
         return self.render()
 
-    def __lt__(self, other: "Name") -> bool:
-        return self.index < other.index
-
 
 _NO_ORDER = object.__lt__  # the `<` that a type without an order of its own inherits
+
+
+def _typed(value: Any) -> tuple:
+    # a static payload or an annotation as its type name and a value that
+    # orders against any other; a tuple's items are encoded the same way
+    cls = type(value)
+    if cls is tuple:
+        return "tuple", tuple(map(_typed, value))
+    return cls.__name__, value if cls.__lt__ is not _NO_ORDER else (repr(value), value)
 
 
 def _key(tree: Any) -> tuple:
@@ -54,9 +58,10 @@ def _key(tree: Any) -> tuple:
     ``1``, its injection path (``L``/``R`` per sum level, outermost first),
     the tuple of its annotation layers (outermost first, each as ``(ann is
     not None, type name, ann)``, trailing ``None`` layers dropped), its
-    constructor name, and then its slots in order: static values as they
-    are, children and binder bodies as keys.  An annotation or static value
-    whose type has no ``<`` of its own stands as ``(repr(value), value)``.
+    constructor name, and then its slots in order: static values as ``(type
+    name, value)``, children and binder bodies as keys.  A value whose type
+    has no ``<`` of its own stands as ``(repr(value), value)``, and a tuple
+    as its items, each encoded by the same rule (see ``_typed``).
     The constructor fixes the number of slots, so the key of a node ends
     where its last slot does, and comparing keys compares terms
     lexicographically node by node.
@@ -77,10 +82,7 @@ def _key(tree: Any) -> tuple:
                 path = ("L" if tag is Inl else "R") + path
         while anns and anns[0] is None:
             del anns[0]
-        layers = tuple(
-            (ann is not None, type(ann).__name__, ann if type(ann).__lt__ is not _NO_ORDER else (repr(ann), ann))
-            for ann in reversed(anns)
-        )
+        layers = tuple((ann is not None,) + _typed(ann) for ann in reversed(anns))
         key.extend((1, path, layers, shape.name))
         for kind, value in zip(shape.kinds, values):
             if kind == _CO:
@@ -90,7 +92,7 @@ def _key(tree: Any) -> tuple:
                 numbers[token] = len(numbers) + 1
                 walk(body)
             else:
-                key.append(value if type(value).__lt__ is not _NO_ORDER else (repr(value), value))
+                key.append(_typed(value))
 
     walk(tree)
     return tuple(key)
@@ -121,10 +123,13 @@ def alpha_compare(t1: Term, t2: Term) -> int:
     each layer a missing annotation orders first, then annotations by type
     name, then by value.  Two annotations are equal only when their type
     names and their values are: ``True`` and ``1`` differ, and ``True``
-    orders first, since ``"bool" < "int"``.  An annotation or static
-    payload whose type defines no ``<`` (a sort ``TArrow``, say) orders by
-    its ``repr`` and then by equality, so the order is total on such terms
-    too.  Returns a negative, zero or positive int.
+    orders first, since ``"bool" < "int"``.  Static payloads order by type
+    name and value too, and tuples item by item under that rule, so
+    ``Lit(1)`` orders before ``Lit("a")`` and ``(1,)`` before ``("a",)``.
+    An annotation or static payload whose type defines no ``<`` (a sort
+    ``TArrow``, say) orders by its ``repr`` and then by equality, so the
+    order is total on such terms too.  Returns a negative, zero or
+    positive int.
     """
     k1, k2 = _alpha_key(t1), _alpha_key(t2)
     return 0 if k1 == k2 else (-1 if k1 < k2 else 1)

@@ -171,16 +171,6 @@ def _rewrap(node: Node, tags) -> Any:
     return node
 
 
-def split_ann(node: Any) -> tuple[Any, list]:
-    """The node without its ``Ann`` layers, wherever they sit among the sum
-    tags, and their annotations, innermost first."""
-    leaf, tags = _peel(node)
-    kept = [pair for pair in tags if pair[0] is not Ann]
-    if len(kept) == len(tags):
-        return node, []
-    return _rewrap(leaf, kept), [ann for tag, ann in tags if tag is Ann]
-
-
 def dimap(pre: Callable, post: Callable, node: Any) -> Any:
     """Map ``pre`` over the variable side and ``post`` over the children.
 

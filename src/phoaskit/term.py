@@ -109,13 +109,12 @@ def app_cxt(c: Cxt) -> Cxt:
     """Merge one layer of nesting: replace every hole by its payload.
 
     ``In`` nodes are rebuilt with the merge mapped over their children,
-    ``Var`` passes through, and ``Hole(h)`` becomes ``h``.
+    ``Hole(h)`` becomes ``h``, and ``Var``, or a child that a homomorphism
+    rule placed without a hole, passes through.
     """
     if isinstance(c, In):
         return In(fmap_co(app_cxt, c.node))
-    if isinstance(c, Var):
-        return c
-    return c.payload
+    return c.payload if isinstance(c, Hole) else c
 
 
 class _BoundToken:

@@ -6,8 +6,10 @@ import random
 
 from phoaskit.algebra import cata, node_count
 from phoaskit.bench import bench_json, bench_term, counted, measure_term, run_bench
-from phoaskit.lang import CORE, desugar, eval_alg, fused_eval_alg, i_lit, i_plus
+from phoaskit.hom import app_term_hom, lift_ann_hom
+from phoaskit.lang import CORE, desugar, desugar_hom, eval_alg, fused_eval_alg, i_lit, i_plus
 from phoaskit.signature import Cases
+from phoaskit.surface import parse_ann
 from phoaskit.term import Term
 
 
@@ -28,6 +30,15 @@ def test_fused_and_counted_evaluators_are_rule_tables():
     t = desugar(bench_term(random.Random(3), 4))
     assert cata(phi, t) == cata(eval_alg, t)
     assert counter.count == node_count(t)
+
+
+def test_counted_homomorphisms_stay_tables_of_their_class():
+    t = parse_ann("let x = 1 in let y = x in y + 2")
+    for rho in (desugar_hom, lift_ann_hom(desugar_hom)):
+        phi, counter = counted(rho)
+        assert type(phi) is type(rho) and phi.target is rho.target
+        assert app_term_hom(phi, t) == app_term_hom(rho, t)
+        assert counter.count == 2  # a rule per let; a re-tag is no rule
 
 
 def test_let_free_terms_tie_the_pipelines():

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 import sys
+from collections import Counter
 
 import pytest
 from conftest import results_equivalent
@@ -40,17 +41,13 @@ from phoaskit.lang import (
     i_lit,
 )
 from phoaskit.names import _key, alpha_eq, preterm_eq, struct_show
-from phoaskit.signature import Ann, Inl, Inr, SubsumptionError, _peel, _rewrap
+from phoaskit.signature import Ann, Cases, Inl, Inr, SubsumptionError, _bare, _peel, _rewrap, fmap_co
 from phoaskit.surface import NLet, NLit, NPlus, NVar, SrcPos, parse, parse_ann, term_of_named
 from phoaskit.term import ExoticTermError, Hole, In, Term, Var, smart_binder
 
 
-def swap_plus_hom(node):
-    """Test homomorphism on the core signature: flips addition."""
-    leaf = _peel(node)[0]
-    if isinstance(leaf, Plus):
-        return In(CORE.inj(Plus(Hole(leaf.rhs), Hole(leaf.lhs))))
-    return identity_hom(CORE)(node)
+# a test homomorphism on the core signature: flips addition
+swap_plus_hom = HomCases({Plus: lambda leaf: In(CORE.inj(Plus(Hole(leaf.rhs), Hole(leaf.lhs))))}, CORE)
 
 
 def path_of(node) -> tuple:
@@ -77,22 +74,57 @@ def test_app_term_hom_identity_alpha_equal(corpus):
         assert alpha_eq(app_term_hom(rho, t), t)
 
 
-def test_hom_fusion_exact_structural_equality(corpus):
+def test_hom_fusion_exact_structural_equality(corpus, ann_corpus):
     pairs = [
         (identity_hom(CORE), desugar_hom),
         (swap_plus_hom, desugar_hom),
     ]
     for rho1, rho2 in pairs:
         fused = compose_hom(rho1, rho2)
+        assert type(fused) is HomCases and fused.target is rho1.target
         for t in corpus:
             staged = app_hom(rho1, app_hom(rho2, t.preterm()))
             assert preterm_eq(staged, app_hom(fused, t.preterm()))
+            assert app_term_hom(fused, t) == app_term_hom(rho1, app_term_hom(rho2, t))
+        # lifted, on the tree path: the annotations agree too
+        r1, r2 = lift_ann_hom(rho1), lift_ann_hom(rho2)
+        lifted = compose_hom(r1, r2)
+        assert isinstance(lifted, HomCases) and _bare(lifted) is False
+        for t in ann_corpus:
+            staged = app_term_hom(r1, app_term_hom(r2, t))
+            assert app_term_hom(lifted, t) == staged
+            assert annotations(app_term_hom(lifted, t)) == annotations(staged)
     # a core-to-core pair, on let-free inputs
     fused = compose_hom(swap_plus_hom, swap_plus_hom)
     for t in corpus:
         pre = app_hom(desugar_hom, t.preterm())
         staged = app_hom(swap_plus_hom, app_hom(swap_plus_hom, pre))
         assert preterm_eq(staged, app_hom(fused, pre))
+        core = desugar(t)
+        assert app_term_hom(fused, core) == app_term_hom(swap_plus_hom, app_term_hom(swap_plus_hom, core))
+
+
+def test_composing_a_lifted_with_a_plain_table_is_plain():
+    lifted, plain = lift_ann_hom(desugar_hom), identity_hom(CORE)
+    for rho1, rho2 in ((plain, lifted), (lift_ann_hom(plain), desugar_hom)):
+        assert _bare(compose_hom(rho1, rho2))
+    t = parse_ann("let x = 1 in x + 2")
+    out = app_term_hom(compose_hom(plain, lifted), t)
+    assert out == app_term_hom(plain, app_term_hom(lifted, t)) == desugar(strip_ann(t))
+
+
+def test_term_level_functions_take_rule_tables_only():
+    t = parse("1 + 2")
+    plain = lambda node: desugar_hom(node)
+    for call in (
+        lambda: app_term_hom(plain, t),
+        lambda: compose_hom(plain, desugar_hom),
+        lambda: compose_hom(identity_hom(CORE), plain),
+        lambda: lift_ann_hom(plain),
+        lambda: compose_alg_hom(eval_alg, plain),
+    ):
+        with pytest.raises(TypeError, match="HomCases"):
+            call()
 
 
 def test_compose_with_identity_behaves_as_rho(corpus):
@@ -180,8 +212,6 @@ def test_strip_after_lifted_desugar_commutes(ann_corpus):
 
 
 def test_every_output_annotation_comes_from_its_source_node(ann_corpus):
-    from collections import Counter
-
     lifted = lift_ann_hom(desugar_hom)
     for t in ann_corpus[:40]:
         expected = Counter()
@@ -287,38 +317,38 @@ def recording(phi):
 def test_retag_fast_path_agrees_with_the_general_path(corpus, ann_corpus):
     pretty_fold = lambda phi, t: cata(phi, t)(NameStream(1))
     for rho in (desugar_hom, identity_hom(FULL)):
-        assert isinstance(rho, HomCases)
-        opaque = lambda node, rho=rho: rho(node)
         for t in corpus + ann_corpus[:60]:
-            pre = t.preterm()
-            assert preterm_eq(app_hom(rho, pre), app_hom(opaque, pre))
-            assert alpha_eq(app_term_hom(rho, t), app_term_hom(opaque, t))
+            staged = app_term_hom(rho, t)
+            assert staged == Term(lambda: app_hom(rho, t.preterm()))
             for phi, fold, same in (
                 (_pretty_alg, pretty_fold, str.__eq__),
                 (eval_alg, cata, results_equivalent),
             ):
                 if rho is not desugar_hom and phi is eval_alg:
                     continue  # evaluation is defined on the core signature only
-                fast_phi, fast_paths = recording(phi)
-                slow_phi, slow_paths = recording(phi)
-                fast = fold(compose_alg_hom(fast_phi, rho), t)
-                slow = fold(compose_alg_hom(slow_phi, opaque), t)
-                assert same(fast, slow)
-                # an algebra that is not a table gets the injected node, not the bare leaf
-                assert fast_paths == slow_paths
-                assert all(path for path in fast_paths)
-                assert same(fold(compose_alg_hom(phi, rho), t), slow)  # the fused table
+                fused_phi, fused_paths = recording(phi)
+                staged_phi, staged_paths = recording(phi)
+                fused = compose_alg_hom(fused_phi, rho)
+                assert isinstance(fused, Cases)
+                want = fold(staged_phi, staged)
+                assert same(fold(fused, t), want)
+                # an algebra that is not a table gets the injected node, not the bare
+                # leaf; the fused fold meets a rule's nodes in another order
+                assert Counter(fused_paths) == Counter(staged_paths)
+                assert all(path for path in fused_paths)
+                assert same(fold(compose_alg_hom(phi, rho), t), want)  # the fused table
 
 
 def test_retag_fast_path_keeps_one_visit_per_input_node():
     rng = random.Random(12)
-    opaque = lambda node: desugar_hom(node)
     for _ in range(40):
         t = bench_term(rng, 5)
-        fast, fast_count = counted(compose_alg_hom(eval_alg, desugar_hom))
-        slow, slow_count = counted(compose_alg_hom(eval_alg, opaque))
-        assert results_equivalent(cata(fast, t), cata(slow, t))
-        assert fast_count.count == slow_count.count == node_count(t)
+        table, table_count = counted(compose_alg_hom(eval_alg, desugar_hom))
+        # an algebra that is not a table fuses into a table as well
+        other, other_count = counted(compose_alg_hom(lambda node: eval_alg(node), desugar_hom))
+        assert results_equivalent(cata(table, t), eval_cbv(desugar(t)))
+        assert results_equivalent(cata(other, t), eval_cbv(desugar(t)))
+        assert table_count.count == other_count.count == node_count(t)
         assert measure_term(t).fused_visits == node_count(t)
 
 
@@ -326,8 +356,11 @@ def test_stacked_stages_apply_each_rule_once_per_node():
     t = parse("let x = 1 + 2 in (\\y. y + x) 3 + (\\z. z) 4")
     t = app_term_hom(desugar_hom, t)
     n = node_count(t)
+    # a rule for every summand, each rebuilding its node; a re-tag is no rule
+    rebuild = HomCases({cls: lambda leaf: In(CORE.inj(fmap_co(Hole, leaf))) for cls in CORE.summands}, CORE)
     for k in (1, 4, 8):
-        stages = [counted(identity_hom(CORE)) for _ in range(k)]
+        stages = [counted(rebuild) for _ in range(k)]
+        assert all(type(rho) is HomCases for rho, _ in stages)
         out = t
         for rho, _ in stages:
             out = app_term_hom(rho, out)
@@ -338,11 +371,12 @@ def test_stacked_stages_apply_each_rule_once_per_node():
 
 
 # Rule tables map the source tree to the result tree; these check that path
-# against the replay path, which any other callable takes.
+# against the context path: app_hom of the paper's definition on the source's
+# preterm, validated as a new term.
 
-def opaque(rho):
-    """``rho`` as a plain callable, so that application replays and validates."""
-    return lambda node: rho(node)
+def on_preterm(rho, t: Term) -> Term:
+    """``rho`` applied by :func:`app_hom` to ``t``'s preterm, validated."""
+    return Term(lambda: app_hom(rho, t.preterm()))
 
 
 def binder_tokens(tree) -> list:
@@ -454,22 +488,26 @@ def test_duplicating_rules_agree_with_the_replay_path(corpus, ann_corpus):
     for rule in (twice_in_sequence, nested_twice, variable_first, child_twice, bare_children, bare_body):
         cls = Plus if rule in (child_twice, bare_children) else Lam
         rho = HomCases({cls: rule}, FULL)
-        # lifted, the replay path puts the node's annotations on a child or body placed
-        # without a Hole as well, and the tree path does not; only the plain paths agree
-        for lift in (False, True) if rule not in (bare_children, bare_body) else (False,):
-            hom, slow = (lift_ann_hom(rho), lift_ann_hom(opaque(rho))) if lift else (rho, opaque(rho))
+        # lifted, a child or body that the rule places, with a Hole or without, is
+        # left unannotated on both paths
+        for lift in (False, True):
+            hom = lift_ann_hom(rho) if lift else rho
             for t in (ann_corpus if lift else corpus)[:60]:
-                out, want = app_term_hom(hom, t), app_term_hom(slow, t)
+                out, want = app_term_hom(hom, t), on_preterm(hom, t)
                 assert _key(out.tree) == _key(want.tree)
                 assert struct_show(out) == struct_show(want)
                 assert annotations(out) == annotations(want)
                 # every binder of the result has a token of its own
                 tokens = binder_tokens(out.tree)
                 assert len(set(map(id, tokens))) == len(tokens)
+            # the rule composed with itself is one table that agrees with two stages
+            twice = compose_hom(hom, hom)
+            for t in (ann_corpus if lift else corpus)[:20]:
+                assert app_term_hom(twice, t) == app_term_hom(hom, app_term_hom(hom, t))
         # rewritten terms can diverge; evaluate ones that do not
         for text in EVAL_TEXTS:
             t = parse(text)
-            out, want = app_term_hom(rho, t), app_term_hom(opaque(rho), t)
+            out, want = app_term_hom(rho, t), on_preterm(rho, t)
             assert results_equivalent(eval_cbv(desugar(out)), eval_cbv(desugar(want)))
 
 
@@ -505,8 +543,8 @@ def test_eight_stacked_stages_agree_with_the_staged_replay_path(corpus, ann_corp
         for t in (ann_corpus if lift else corpus)[:60]:
             fast = slow = t
             for rho in stages:
-                fast = app_term_hom(lift_ann_hom(rho) if lift else rho, fast)
-                slow = app_term_hom(lift_ann_hom(opaque(rho)) if lift else opaque(rho), slow)
+                rho = lift_ann_hom(rho) if lift else rho
+                fast, slow = app_term_hom(rho, fast), on_preterm(rho, slow)
             assert fast == slow
             assert annotations(fast) == annotations(slow)
             assert pretty(strip_ann(fast)) == pretty(strip_ann(slow))

@@ -174,6 +174,24 @@ def test_alpha_compare_on_payloads():
     assert alpha_compare(two, one) > 0
 
 
+def test_alpha_compare_is_total_across_payload_types():
+    # a static payload orders by its type name first, as an annotation does
+    one, a = Term(lambda: i_lit(1)), Term(lambda: i_lit("a"))
+    assert alpha_compare(one, a) == -1 and alpha_compare(a, one) == 1
+    assert Term(lambda: i_lit(True)) != Term(lambda: i_lit(1))
+    # a tuple compares item by item under the same rule
+    def annotated(ann):
+        return Term(lambda: In(Ann(FULL.inj(Lit(0)), ann)))
+
+    nums, strs = annotated((1,)), annotated(("a",))
+    assert alpha_compare(nums, strs) == -1 and alpha_compare(strs, nums) == 1
+    nested = [annotated(v) for v in ((1, ("a",)), (1, (2,)), (1,), ())]
+    assert sorted(nested) == [nested[3], nested[2], nested[1], nested[0]]
+    payloads = [Term(lambda v=v: i_lit(v)) for v in (("a", 1), (1, "a"), (1, 2), "b", 3)]
+    assert sorted(payloads) == sorted(reversed(payloads)) == payloads[::-1]
+    assert annotated((1,)) == annotated((1,)) != annotated((True,))
+
+
 def test_struct_show_golden_example():
     assert (
         struct_show(example_term())
