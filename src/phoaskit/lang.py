@@ -26,6 +26,12 @@ from .result import Failure, Result, Success
 from .signature import Cases, Node, Signature, Slot, dimap
 from .term import Cxt, Hole, In, Term, Var, inject, project, smart_binder
 
+__all__ = [
+    "CORE", "FULL", "App", "Err", "FunV", "IntV", "Lam", "Let", "Lit", "NameStream", "Plus", "Value",
+    "const_fold", "count_alg", "count_bound_var_uses", "desugar", "desugar_hom", "desugar_via_cata",
+    "eval_alg", "eval_cbv", "eval_fused", "example_term", "fused_eval_alg",
+    "i_app", "i_err", "i_lam", "i_let", "i_lit", "i_plus", "pretty",
+]
 
 @dataclass(frozen=True)
 class Lam(Node):

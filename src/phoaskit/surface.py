@@ -10,6 +10,11 @@ application and addition associate to the left):
     app  ::= atom atom*
     atom ::= ident | integer | "error" | "(" expr ")"
 
+The lexer makes one ``(kind, lexeme, offset)`` tuple per token.  A
+:class:`SrcPos` is made from an offset only where a named node or an
+error needs one, from a table of the text's line starts, built once, in
+which each offset is looked up by bisection.
+
 Parsing builds a named tree, then builds the term's validated tree from
 it directly (see :class:`~phoaskit.term.Term`): each binder gets one
 sealed token, and each name occurrence becomes the token of the innermost
@@ -24,22 +29,31 @@ from __future__ import annotations
 
 import re
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
-from typing import Any, NamedTuple
+from typing import Any
 
 from .lang import FULL, App, Err, Lam, Let, Lit, Plus
 from .signature import Ann, shape_of
 from .term import Term, _BoundToken, _Trusted
 
+__all__ = [
+    "KEYWORDS", "MAX_NESTING", "NAst", "NApp", "NErr", "NLam", "NLet", "NLit", "NPlus", "NVar",
+    "ParseError", "SrcPos", "napp", "nerr", "nlam", "nlet", "nlit", "nplus", "nvar",
+    "parse", "parse_ann", "parse_named", "term_of_named",
+]
+
 KEYWORDS = frozenset({"let", "in", "error"})
 
 # blanks, then one alternative per token class: every non-blank character
-# starts a match, so only trailing blanks go unmatched, and the error class,
-# one character that is not a blank, can never take a blank by backtracking
+# starts a match, so only trailing blanks go unmatched (the lexer stops its
+# scan before them), and the error class, one character that is not a
+# blank, can never take a blank by backtracking
+_BLANKS = " \t\n\r\f\v"
 _TOKEN = re.compile(
-    r"[ \t\r\f\v]*(?:(?P<newline>\n)|(?P<int>[0-9]+)"
-    r"|(?P<ident>[a-z][a-zA-Z0-9]*)|(?P<symbol>[\\.()=+])|(?P<error>[^ \t\r\f\v\n]))"
+    rf"[{_BLANKS}]*(?:(?P<int>[0-9]+)|(?P<ident>[a-z][a-zA-Z0-9]*)"
+    rf"|(?P<symbol>[\\.()=+])|(?P<error>[^{_BLANKS}]))"
 )
 
 
@@ -123,28 +137,32 @@ def _named_shapes() -> dict:
     return {cls: (shape_of(c), FULL.witness(c).tags) for cls, c in core.items()}
 
 
-class _Token(NamedTuple):
-    kind: str  # ident, int, keyword or a literal lexeme
-    text: str
-    pos: SrcPos
+def _position_of(text: str):
+    """The function from an offset in ``text`` to its :class:`SrcPos`."""
+    starts = [0, *(m.end() for m in re.finditer("\n", text))]  # the offset of each line
+
+    def pos(offset: int) -> SrcPos:
+        line = bisect_right(starts, offset)
+        return SrcPos(line, offset - starts[line - 1] + 1)
+
+    return pos
 
 
-def _lex(text: str) -> list[_Token]:
+def _lex(text: str) -> list[tuple[str, str, int]]:
+    # (kind, lexeme, offset) per token, kind being ident, int, eof, or the
+    # lexeme of a symbol or keyword; positions are made from offsets only
+    # where a node or an error needs one
     tokens = []
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(text):
+    for m in _TOKEN.finditer(text, 0, len(text.rstrip(_BLANKS))):
         kind = m.lastgroup
-        if kind == "newline":
-            line, line_start = line + 1, m.end()
-            continue
-        lexeme = m.group(kind)
-        pos = SrcPos(line, m.start(kind) - line_start + 1)
+        lexeme = m[kind]
+        offset = m.start(kind)
         if kind == "error":
-            raise ParseError(pos, f"unexpected token {lexeme!r}")
+            raise ParseError(_position_of(text)(offset), f"unexpected token {lexeme!r}")
         if kind == "symbol" or lexeme in KEYWORDS:
             kind = lexeme
-        tokens.append(_Token(kind, lexeme, pos))
-    tokens.append(_Token("eof", "", SrcPos(line, len(text) - line_start + 1)))
+        tokens.append((kind, lexeme, offset))
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
@@ -156,53 +174,48 @@ MAX_NESTING = 160
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.tokens = _lex(text)
+        self.pos = _position_of(text)
         self.i = 0
         self.depth = 0
         self.bound: list[str] = []  # the names of the enclosing binders, innermost last
-        self.unbound: _Token | None = None  # the first identifier none of them binds
+        self.unbound: tuple | None = None  # the first identifier none of them binds
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> _Token:
+    def expect(self, kind: str) -> tuple[str, str, int]:
         tok = self.tokens[self.i]
+        if tok[0] != kind:
+            raise self.unexpected()
         self.i += 1
         return tok
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise self.unexpected()
-        return self.advance()
-
     def unexpected(self) -> ParseError:
-        tok = self.peek()
-        if tok.kind == "eof":
+        kind, lexeme, offset = self.tokens[self.i]
+        if kind == "eof":
             # point at the construct left unterminated, not past the end
-            pos = self.tokens[self.i - 1].pos if self.i > 0 else tok.pos
-            return ParseError(pos, "unexpected end of input")
-        return ParseError(tok.pos, f"unexpected token {tok.text!r}")
+            if self.i > 0:
+                offset = self.tokens[self.i - 1][2]
+            return ParseError(self.pos(offset), "unexpected end of input")
+        return ParseError(self.pos(offset), f"unexpected token {lexeme!r}")
 
     def expr(self) -> NAst:
-        tok = self.peek()
+        kind, _, offset = self.tokens[self.i]
         if self.depth >= MAX_NESTING:
-            raise ParseError(tok.pos, f"nesting too deep (limit {MAX_NESTING})")
+            raise ParseError(self.pos(offset), f"nesting too deep (limit {MAX_NESTING})")
         self.depth += 1
         try:
-            if tok.kind == "\\":
-                self.advance()
-                name = self.expect("ident").text
+            if kind == "\\":
+                self.i += 1
+                name = self.expect("ident")[1]
                 self.expect(".")
-                return NLam(name, self.scoped(name), tok.pos)
-            if tok.kind == "let":
-                self.advance()
-                name = self.expect("ident").text
+                return NLam(name, self.scoped(name), self.pos(offset))
+            if kind == "let":
+                self.i += 1
+                name = self.expect("ident")[1]
                 self.expect("=")
                 bound = self.expr()
                 self.expect("in")
-                return NLet(name, bound, self.scoped(name), tok.pos)
+                return NLet(name, bound, self.scoped(name), self.pos(offset))
             return self.sum()
         finally:
             self.depth -= 1
@@ -215,50 +228,49 @@ class _Parser:
 
     def sum(self) -> NAst:
         node = self.app()
-        while self.peek().kind == "+":
-            self.advance()
+        tokens = self.tokens
+        while tokens[self.i][0] == "+":
+            self.i += 1
             node = NPlus(node, self.app(), node.pos)
         return node
 
     def app(self) -> NAst:
-        node = self.atom()
-        while self.peek().kind in _ATOM_STARTS:
-            node = NApp(node, self.atom(), node.pos)
-        return node
-
-    def atom(self) -> NAst:
-        tok = self.peek()
-        if tok.kind == "ident":
-            self.advance()
-            if self.unbound is None and tok.text not in self.bound:
-                self.unbound = tok
-            return NVar(tok.text, tok.pos)
-        if tok.kind == "int":
-            self.advance()
-            try:
-                return NLit(int(tok.text), tok.pos)
-            except ValueError:  # int() of [0-9]+ fails only past the int/str digit limit
-                limit = sys.get_int_max_str_digits()
-                raise ParseError(tok.pos, f"integer literal over the {limit}-digit limit") from None
-        if tok.kind == "error":
-            self.advance()
-            return NErr(tok.pos)
-        if tok.kind == "(":
-            self.advance()
-            node = self.expr()
-            self.expect(")")
-            return node
-        raise self.unexpected()
+        # a run of atoms, applied from the left
+        tokens, node = self.tokens, None
+        while True:
+            kind, lexeme, offset = tokens[self.i]
+            if kind not in _ATOM_STARTS:
+                if node is None:
+                    raise self.unexpected()
+                return node
+            self.i += 1
+            if kind == "ident":
+                if self.unbound is None and lexeme not in self.bound:
+                    self.unbound = (lexeme, offset)
+                arg = NVar(lexeme, self.pos(offset))
+            elif kind == "int":
+                try:
+                    arg = NLit(int(lexeme), self.pos(offset))
+                except ValueError:  # int() of [0-9]+ fails only past the int/str digit limit
+                    limit = sys.get_int_max_str_digits()
+                    raise ParseError(self.pos(offset), f"integer literal over the {limit}-digit limit") from None
+            elif kind == "error":
+                arg = NErr(self.pos(offset))
+            else:
+                arg = self.expr()
+                self.expect(")")
+            node = arg if node is None else NApp(node, arg, node.pos)
 
 
 def parse_named(text: str) -> NAst:
     """Parse to the named tree, checking closedness after the syntax."""
-    parser = _Parser(_lex(text))
+    parser = _Parser(text)
     ast = parser.expr()
-    if parser.peek().kind != "eof":
+    if parser.tokens[parser.i][0] != "eof":
         raise parser.unexpected()
     if parser.unbound is not None:
-        raise ParseError(parser.unbound.pos, f"unbound identifier {parser.unbound.text!r}")
+        name, offset = parser.unbound
+        raise ParseError(parser.pos(offset), f"unbound identifier {name!r}")
     return ast
 
 

@@ -24,7 +24,7 @@ from typing import Any, Callable
 
 from .algebra import cata
 from .hom import strip_ann
-from .lang import CORE, App, Err, FunV, IntV, Lam, Lit, Plus
+from .lang import CORE, App, Err, Lam, Lit, Plus
 from .result import Failure, Result, Success
 from .signature import Ann, Cases
 from .term import In, Term, Var, inject
@@ -135,36 +135,6 @@ def erase(t: TypedTerm) -> Term:
     """Forget the sorts, producing a closed core-language term."""
     sort_of(t)
     return strip_ann(Term(lambda: t))
-
-
-_SAMPLE_INTS = (0, 1, -1, 2, 7, -3, 10, 42)
-
-
-def _canonical(sort: ObjType, k: int):
-    """Paired typed/untyped argument values used to probe functions."""
-    if sort == INT:
-        return k, IntV(k)
-    sem, val = _canonical(sort.cod, k)
-    return (lambda _v: Success(sem)), FunV(lambda _v: Success(val))
-
-
-def results_agree(sort: ObjType, typed_r: Result, untyped_r: Result) -> bool:
-    """Extensional agreement between the two evaluators' results."""
-    if isinstance(typed_r, Failure) or isinstance(untyped_r, Failure):
-        return typed_r == untyped_r
-    return _values_agree(sort, typed_r.value, untyped_r.value)
-
-
-def _values_agree(sort: ObjType, sem, val) -> bool:
-    if sort == INT:
-        return isinstance(val, IntV) and sem == val.value
-    if not isinstance(val, FunV):
-        return False
-    for k in _SAMPLE_INTS:
-        a_sem, a_val = _canonical(sort.dom, k)
-        if not results_agree(sort.cod, sem(a_sem), val.fn(a_val)):
-            return False
-    return True
 
 
 _ARG_SORTS = (INT, TArrow(INT, INT))

@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import random
 import string
+import time
 
 import pytest
 
@@ -11,11 +12,17 @@ from phoaskit.hom import annotations, strip_ann
 from phoaskit.lang import example_term, pretty
 from phoaskit.names import alpha_eq, struct_show
 from phoaskit.surface import (
+    NApp,
+    NErr,
+    NLam,
+    NLet,
     NLit,
     NPlus,
+    NVar,
     ParseError,
     SrcPos,
     _lex,
+    _position_of,
     parse,
     parse_ann,
     parse_named,
@@ -207,7 +214,8 @@ def test_lexer_output_is_pinned_on_seeded_strings():
     for _ in range(6000):
         text = "".join(rng.choice(pieces) for _ in range(rng.randrange(0, 13)))
         try:
-            out = [(t.kind, t.text, t.pos.line, t.pos.column) for t in _lex(text)]
+            pos = _position_of(text)
+            out = [(kind, lexeme, pos(offset).line, pos(offset).column) for kind, lexeme, offset in _lex(text)]
             outcomes["tokens"] += 1
         except ParseError as err:
             out = (err.message, err.pos.line, err.pos.column)
@@ -215,6 +223,21 @@ def test_lexer_output_is_pinned_on_seeded_strings():
         digest.update(repr((text, out)).encode())
     assert min(outcomes.values()) > 1000
     assert digest.hexdigest()[:16] == "6f5dc5579f11865e"
+
+
+def test_trailing_blank_lines_lex_in_linear_time():
+    # the token regex fails at each trailing blank only after eating all of
+    # them, so a scan over them is quadratic in their number; the lexer
+    # stops before them
+    text = "let x = 1 in\n  x" + "\n\r\n \t" * 4000
+    start = time.process_time()
+    tokens = _lex(text)
+    assert time.process_time() - start < 0.5
+    assert [kind for kind, _, _ in tokens] == ["let", "ident", "=", "int", "in", "ident", "eof"]
+    assert tokens[-1][2] == len(text)
+    assert parse_named(text) == NLet("x", NLit(1, SrcPos(1, 9)), NVar("x", SrcPos(2, 3)), SrcPos(1, 1))
+    with pytest.raises(ParseError, match=r"^2:3: unexpected token '#'$"):
+        parse_named("1 +\n  #" + "\n" * 20_000)
 
 
 def test_parse_outcomes_are_pinned_on_seeded_token_strings():
@@ -236,6 +259,102 @@ def test_parse_outcomes_are_pinned_on_seeded_token_strings():
         digest.update(repr((text, out)).encode())
     assert min(outcomes.values()) > 500
     assert digest.hexdigest()[:16] == "20f651e52e2924ce"
+
+
+def _naive_positions(text: str) -> list[SrcPos]:
+    # the position of every offset, the end of the text included, by a scan
+    # over every character
+    out, line, column = [], 1, 1
+    for ch in text:
+        out.append(SrcPos(line, column))
+        line, column = (line + 1, 1) if ch == "\n" else (line, column + 1)
+    return out + [SrcPos(line, column)]
+
+
+def _random_lexemes(rng: random.Random, depth: int, scope: list[str]) -> list[str]:
+    # a random expression, mostly closed, bracketed wherever it nests
+    choice = rng.randrange(7 if depth else 3)
+    if choice == 0:
+        return [rng.choice(scope or ["w"])]
+    if choice == 1:
+        return [str(rng.randrange(100))]
+    if choice == 2:
+        return ["error"]
+    name = rng.choice("xyz")
+    inner = _random_lexemes(rng, depth - 1, scope)
+    if choice == 3:
+        return ["(", "\\", name, ".", *_random_lexemes(rng, depth - 1, scope + [name]), ")"]
+    if choice == 4:
+        body = _random_lexemes(rng, depth - 1, scope + [name])
+        return ["(", "let", name, "=", *inner, "in", *body, ")"]
+    return ["(", *inner, *(["+"] if choice == 5 else []), *_random_lexemes(rng, depth - 1, scope), ")"]
+
+
+def _named_leaves(node) -> list:
+    # the lexeme and position of every node with a lexeme of its own, in
+    # source order; an application or sum must sit at its first child's
+    if isinstance(node, (NApp, NPlus)):
+        first, second = (node.fn, node.arg) if isinstance(node, NApp) else (node.lhs, node.rhs)
+        assert node.pos == first.pos
+        return _named_leaves(first) + _named_leaves(second)
+    if isinstance(node, NLam):
+        return [("\\", node.pos)] + _named_leaves(node.body)
+    if isinstance(node, NLet):
+        return [("let", node.pos)] + _named_leaves(node.bound) + _named_leaves(node.body)
+    if isinstance(node, NVar):
+        return [(node.name, node.pos)]
+    if isinstance(node, NLit):
+        return [(str(node.value), node.pos)]
+    assert isinstance(node, NErr)
+    return [("error", node.pos)]
+
+
+def test_positions_agree_with_a_per_character_scan():
+    # multi-line texts with \n and \r\n endings, blank and trailing lines,
+    # truncated (eof errors), with stray lexemes, unbound names and a literal
+    # past the digit limit; the text is built lexeme by lexeme, so the offset
+    # of each lexeme is known without lexing it
+    rng = random.Random(3)
+    separators = [" ", " ", "\n", "\r\n", "  \n\n\t", "\n  "]
+    long_literal = "9" * 4400
+    outcomes = {"parsed": 0, "eof": 0, "token": 0, "unbound": 0, "digits": 0}
+    for _ in range(3000):
+        lexemes = _random_lexemes(rng, rng.randrange(5), [])
+        mutation = rng.randrange(5)
+        if mutation == 1:
+            del lexemes[rng.randrange(len(lexemes) + 1):]
+        elif mutation == 2:
+            lexemes.insert(rng.randrange(len(lexemes) + 1), rng.choice(["#", ")", "in", "λ", "=", "w"]))
+        elif mutation == 3 and rng.random() < 0.1:
+            lexemes.insert(rng.randrange(len(lexemes) + 1), long_literal)
+        text, offsets = rng.choice(["", "\n", " "]), []
+        for lexeme in lexemes:
+            offsets.append(len(text))
+            text += lexeme + rng.choice(separators)
+        text += rng.choice(["", "\n", "\r\n", "\n\n"])
+        oracle = _naive_positions(text)
+        at = [(lexeme, oracle[offset]) for lexeme, offset in zip(lexemes, offsets)]
+        try:
+            ast = parse_named(text)
+        except ParseError as err:
+            if err.message == "unexpected end of input":
+                assert err.pos == (at[-1][1] if at else oracle[len(text)])
+                outcomes["eof"] += 1
+            elif err.message.startswith("integer literal over"):
+                assert (long_literal, err.pos) in at
+                outcomes["digits"] += 1
+            else:
+                kind, _, name = err.message.rpartition(" ")
+                assert kind in ("unexpected token", "unbound identifier")
+                assert (name.strip("'"), err.pos) in at
+                outcomes["token" if kind == "unexpected token" else "unbound"] += 1
+            continue
+        binder_names = {i + 1 for i, (lexeme, _) in enumerate(at) if lexeme in ("\\", "let")}
+        punctuation = {".", "(", ")", "=", "+", "in"}
+        expected = [a for i, a in enumerate(at) if a[0] not in punctuation and i not in binder_names]
+        assert _named_leaves(ast) == expected
+        outcomes["parsed"] += 1
+    assert min(outcomes.values()) > 5 and outcomes["parsed"] > 500
 
 
 def test_parse_ann_accepts_exactly_the_same_language(corpus):

@@ -274,3 +274,14 @@ def test_public_names_resolve():
     namespace = {}
     exec("from phoaskit import *", namespace)
     assert set(phoaskit.__all__) <= set(namespace)
+
+
+def test_star_imports_keep_annotations():
+    # a module without __all__ exports the __future__ feature of its own
+    # ``from __future__ import annotations`` under that name
+    from phoaskit import hom
+
+    namespace = {}
+    exec("from phoaskit import *\nfrom phoaskit.lang import *\nfrom phoaskit.surface import *", namespace)
+    assert namespace["annotations"] is hom.annotations
+    assert {"parse", "pretty", "SrcPos", "eval_fused"} <= set(namespace)

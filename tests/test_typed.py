@@ -8,14 +8,14 @@ import pytest
 
 from phoaskit.lang import FunV, IntV, eval_cbv
 from phoaskit.names import struct_show
-from phoaskit.result import Failure, Success
+from phoaskit.result import Failure, Result, Success
 from phoaskit.typed import (
     INT,
+    ObjType,
     SortMismatchError,
     TArrow,
     erase,
     random_typed_term,
-    results_agree,
     sort_of,
     t_app,
     t_err,
@@ -25,6 +25,36 @@ from phoaskit.typed import (
     typed_demo,
     typed_eval,
 )
+
+
+_SAMPLE_INTS = (0, 1, -1, 2, 7, -3, 10, 42)
+
+
+def _canonical(sort: ObjType, k: int):
+    """Paired typed/untyped argument values used to probe functions."""
+    if sort == INT:
+        return k, IntV(k)
+    sem, val = _canonical(sort.cod, k)
+    return (lambda _v: Success(sem)), FunV(lambda _v: Success(val))
+
+
+def results_agree(sort: ObjType, typed_r: Result, untyped_r: Result) -> bool:
+    """Extensional agreement between the two evaluators' results."""
+    if isinstance(typed_r, Failure) or isinstance(untyped_r, Failure):
+        return typed_r == untyped_r
+    return _values_agree(sort, typed_r.value, untyped_r.value)
+
+
+def _values_agree(sort: ObjType, sem, val) -> bool:
+    if sort == INT:
+        return isinstance(val, IntV) and sem == val.value
+    if not isinstance(val, FunV):
+        return False
+    for k in _SAMPLE_INTS:
+        a_sem, a_val = _canonical(sort.dom, k)
+        if not results_agree(sort.cod, sem(a_sem), val.fn(a_val)):
+            return False
+    return True
 
 
 def test_typed_eval_of_the_worked_example():
