@@ -16,8 +16,9 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from .result import Failure, Result, Success
-from .signature import Cases, MissingCaseError, Signature, disequence, fmap_co, map_slots
-from .term import Cxt, In, Term, Var, replay
+from .signature import Cases, MissingCaseError, Signature, disequence, fmap_co
+from .term import Cxt, In, Term, Var, _nodes, replay
+del annotations  # the __future__ feature, which a star import would export
 
 
 def cata_pre(phi: Callable, c: Cxt) -> Any:
@@ -82,8 +83,4 @@ def deep_project(t: Term, target: Signature) -> Term | None:
 
 def node_count(t: Term) -> int:
     """Number of constructor nodes, counting each binder body once."""
-
-    def phi(leaf) -> int:
-        return 1 + sum(map_slots(leaf, lambda n: n, lambda body: body(0), lambda _: 0))
-
-    return cata(Cases({}, phi), t)
+    return sum(1 for _ in _nodes(t.tree))

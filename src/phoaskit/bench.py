@@ -36,6 +36,7 @@ from .surface import (
     term_of_named,
 )
 from .term import Term
+del annotations  # the __future__ feature, which a star import would export
 
 
 class VisitCounter:

@@ -11,49 +11,66 @@ inspecting them.  Application merges the produced contexts:
 A homomorphism is a :class:`HomCases`, a rule table whose default
 re-tags a constructor into the target signature, its children as holes;
 the functions here that take one, but ``app_hom``, raise ``TypeError``
-on anything else.  Homomorphisms compose into a ``HomCases``
-(``compose_hom``), fuse with an algebra into a table (``compose_alg_hom``)
-and lift over annotated signatures (``lift_ann_hom``), satisfying
+on anything else (``app_term_hom`` maps any :class:`TreeCases`).
+Homomorphisms compose into a ``HomCases`` (``compose_hom``), fuse with
+an algebra into a table (``compose_alg_hom``) and lift over annotated
+signatures (``lift_ann_hom``), satisfying
 
     app_hom(r1) . app_hom(r2) == app_hom(compose_hom(r1, r2))
     cata(phi) . app_term_hom(rho) == cata(compose_alg_hom(phi, rho))
 
-so staged pipelines can be collapsed into a single traversal.
+so staged pipelines can be collapsed into a single traversal.  The
+second law holds for algebras that do not read annotations: a fused table
+calls its rules on bare constructors, so a lifted ``rho``'s annotations
+reach ``phi`` only when staged.
 """
 from __future__ import annotations
 
 from typing import Any, Callable
 
 from .algebra import free
-from .signature import _CO, _CONTRA, Ann, Cases, Signature, _bare, _identity, _peel, dimap, fmap_co
+from .signature import Ann, Cases, Signature, _bare, _identity, _peel, dimap, fmap_co
 from .term import (
     Cxt,
     Hole,
     In,
     Term,
-    _BoundToken,
     _map_tree,
-    _SourceBinder,
-    _Subtree,
+    _node_of,
+    _nodes,
     _Trusted,
     _validate,
     app_cxt,
 )
 
 
-class HomCases(Cases):
-    """A homomorphism from per-constructor rules and a re-tag default.
+class TreeCases(Cases):
+    """Per-constructor rules that map a term's tree into ``target``, bottom up.
 
-    A rule takes the bare constructor, its children and binders standing
-    for holes, and returns a context over ``target``; every constructor
-    without a rule is re-tagged into ``target`` with its children as holes.
+    :func:`app_term_hom` hands a rule the bare constructor, its children
+    and binders standing for their already mapped trees, and the rule
+    returns a context over ``target``, or ``None`` to decline.  A
+    constructor without a rule, or whose rule declines, is re-tagged into
+    ``target``, its slots as they were mapped.  :func:`~phoaskit.term.project`
+    of a child answers the root constructor of its mapped tree, so a rule
+    can inspect what the table computed below it, as constant folding does;
+    fusion does not hold for such a table, which ``compose_hom`` and
+    ``compose_alg_hom`` therefore refuse.  Every context a rule returns is
+    validated.
     """
 
     __slots__ = ("target",)
 
-    def __init__(self, cases: dict[type, Callable[[Any], Cxt]], target: Signature):
+    def __init__(self, cases: dict[type, Callable[[Any], Cxt | None]], target: Signature):
         super().__init__(cases, lambda leaf: In(fmap_co(Hole, target.inj(leaf))))
         self.target = target
+
+
+class HomCases(TreeCases):
+    """A homomorphism: a :class:`TreeCases` whose rules never project a
+    child and never decline, so its children and binders stand for holes."""
+
+    __slots__ = ()
 
 
 class _LiftedCases(HomCases):
@@ -100,20 +117,23 @@ def app_hom(rho: Callable[[Any], Cxt], c: Cxt) -> Cxt:
     return walk(c)
 
 
-def app_term_hom(rho: HomCases, t: Term) -> Term:
-    """Apply a homomorphism underneath the closed-term wrapper.
+def app_term_hom(rho: TreeCases, t: Term) -> Term:
+    """Apply a homomorphism, or any :class:`TreeCases`, underneath the
+    closed-term wrapper.
 
     The table, lifted or not, maps the source's tree to the result's,
-    without a Python frame per level.  A node without a rule keeps its
-    mapped slots and binder tokens under the target's tags, since a
-    homomorphism never looks into its holes.  A rule gets the node with its
-    children and binders standing for their mapped trees, and only the
-    context it returns is validated (see :func:`~phoaskit.term._validate`).
+    without a Python frame per level.  A node without a rule, or whose rule
+    declines, keeps its mapped slots and binder tokens under the target's
+    tags.  A rule gets the node with its children and binders standing for
+    their mapped trees, and only the context it returns is validated (see
+    :func:`~phoaskit.term._validate`).
     """
-    return Term(_Trusted(_map_tree(t.tree, _tree_step(_table(rho)))))
+    if not isinstance(rho, TreeCases):
+        raise TypeError(f"app_term_hom maps a TreeCases or HomCases table, not {type(rho).__name__}")
+    return Term(_Trusted(_map_tree(t.tree, _tree_step(rho))))
 
 
-def _tree_step(rho: HomCases) -> Callable:
+def _tree_step(rho: TreeCases) -> Callable:
     # the result's tree for one source node, its slots already mapped
     cases, witness = rho.cases, rho.target.witness
     lifted = type(rho) is _LiftedCases
@@ -122,17 +142,12 @@ def _tree_step(rho: HomCases) -> Callable:
         shape, _, tags = rec
         anns = tuple(pair for pair in tags if pair[0] is Ann) if lifted else ()
         rule = cases.get(shape.cls)
-        if rule is None:
-            return shape, values, witness(shape.cls).tags + anns
-        owner = object()  # admits this node's children and binders in the rule's context only
-        slots = []
-        for kind, value in zip(shape.kinds, values):
-            if kind == _CO:
-                value = _Subtree(owner, value)
-            elif kind == _CONTRA:
-                value = _SourceBinder(owner, *value)
-            slots.append(value)
-        return _validate(rule(shape.make(*slots)), owner, anns)
+        if rule is not None:
+            owner = object()  # admits this node's children and binders in the rule's context only
+            c = rule(_node_of(shape, values, owner))
+            if c is not None:
+                return _validate(c, owner, anns)
+        return shape, values, witness(shape.cls).tags + anns
 
     return step
 
@@ -209,13 +224,7 @@ def annotations(t: Term) -> list[tuple[str, Any]]:
     with none reports ``None``; so equal terms, whose keys skip the inner
     ``None`` layers, report equal lists.
     """
-    out, stack = [], [t.tree]
-    while stack:  # preorder over the tree, without a Python frame per level
-        rec = stack.pop()
-        if type(rec) is _BoundToken:
-            continue
-        shape, values, tags = rec
-        out.append((shape.name, next((ann for tag, ann in tags if tag is Ann and ann is not None), None)))
-        for i in reversed(shape.inner):
-            stack.append(values[i][1] if shape.kinds[i] == _CONTRA else values[i])
-    return out
+    return [
+        (shape.name, next((ann for tag, ann in tags if tag is Ann and ann is not None), None))
+        for shape, _, tags in _nodes(t.tree)
+    ]

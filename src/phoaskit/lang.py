@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, ClassVar
 
 from .algebra import cata
-from .hom import HomCases, app_term_hom, compose_alg_hom
+from .hom import HomCases, TreeCases, app_term_hom, compose_alg_hom
 from .result import Failure, Result, Success
 from .signature import Cases, Node, Signature, Slot, dimap
 from .term import Cxt, Hole, In, Term, Var, inject, project, smart_binder
@@ -165,15 +165,11 @@ def pretty(t: Term) -> str:
 
 # Desugaring, once as a fold and once as a homomorphism.
 
-def _reinject(sig: Signature) -> Callable[[Node], Cxt]:
-    # default rule: rebuild the node in ``sig``; binder slots get their Var
-    # wrap back since the carrier sits on both sides
-    return lambda leaf: In(sig.inj(dimap(Var, lambda x: x, leaf)))
-
-
 _desugar_alg = Cases(
     {Let: lambda n: i_app(i_lam(n.body, CORE), n.bound, CORE)},
-    default=_reinject(CORE),
+    # any other node is rebuilt in CORE; binder slots get their Var wrap
+    # back, since the carrier sits on both sides
+    default=lambda leaf: In(CORE.inj(dimap(Var, lambda x: x, leaf))),
 )
 
 
@@ -206,8 +202,9 @@ def desugar(t: Term) -> Term:
     return app_term_hom(desugar_hom, t)
 
 
-# Constant folding: any addition whose folded children are both literals
-# collapses; everything else is rebuilt untouched.
+# Constant folding: an addition whose folded children are both literals
+# collapses; the rule declines any other, which, like every other node, is
+# re-tagged into the target untouched.
 
 def const_fold(t: Term, sig: Signature = FULL) -> Term:
     """Collapse additions of two literals, bottom up, into ``sig``.
@@ -216,15 +213,11 @@ def const_fold(t: Term, sig: Signature = FULL) -> Term:
     """
     w_lit = sig.witness(Lit)
 
-    def fold_plus(n: Plus) -> Cxt:
-        left = project(n.lhs, w_lit)
-        right = project(n.rhs, w_lit)
-        if left is not None and right is not None:
-            return i_lit(left.value + right.value, sig)
-        return i_plus(n.lhs, n.rhs, sig)
+    def fold_plus(n: Plus) -> Cxt | None:
+        left, right = project(n.lhs, w_lit), project(n.rhs, w_lit)
+        return None if left is None or right is None else i_lit(left.value + right.value, sig)
 
-    phi = Cases({Plus: fold_plus}, default=_reinject(sig))
-    return Term(lambda: cata(phi, t))
+    return app_term_hom(TreeCases({Plus: fold_plus}, sig), t)
 
 
 # Call-by-value evaluation.  Values are integers and fallible functions;

@@ -20,6 +20,7 @@ from typing import Any
 
 from .signature import _CO, _CONTRA, Ann, Inl
 from .term import Cxt, Term, _alpha_key, _BoundToken, _validate
+del annotations  # the __future__ feature, which a star import would export
 
 
 @dataclass(frozen=True, order=True)

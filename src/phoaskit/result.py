@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any
+del annotations  # the __future__ feature, which a star import would export
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from operator import attrgetter
 from typing import Any, Callable, ClassVar, Iterator
 
 from .result import Failure, Result, Success
+del annotations  # the __future__ feature, which a star import would export
 
 
 class SlotKind(Enum):

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import total_ordering
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from .signature import (
     Ann,
@@ -45,6 +45,7 @@ from .signature import (
     fmap_co,
     shape_of,
 )
+del annotations  # the __future__ feature, which a star import would export
 
 
 @dataclass(frozen=True)
@@ -91,8 +92,18 @@ def project(c: Cxt, witness: Subsumption) -> Node | None:
     Answers ``None`` on ``Var`` and ``Hole``, and on ``In`` nodes whose
     injection path belongs to a different summand.  Every annotation layer
     is looked through, between the sum tags too (see
-    :meth:`~phoaskit.signature.Subsumption.proj`).
+    :meth:`~phoaskit.signature.Subsumption.proj`).  A child that a
+    :class:`~phoaskit.hom.TreeCases` rule got projects to the root of its
+    mapped tree, whose children and binders no context may place.
     """
+    if type(c) is _Subtree:
+        if type(c.tree) is _BoundToken:
+            return None
+        shape, values, tags = c.tree
+        tags = tags if tags == witness.tags else tuple(pair for pair in tags if pair[0] is not Ann)
+        if tags != witness.tags or not issubclass(shape.cls, witness.summand):
+            return None
+        return _node_of(shape, values, None)
     return witness.proj(c.node) if isinstance(c, In) else None
 
 
@@ -149,6 +160,17 @@ class _Instance:
 
     def __init__(self, binder: _SourceBinder, arg: Any):
         self.owner, self.binder, self.arg = binder.owner, binder, arg
+
+
+def _node_of(shape: Any, values: tuple, owner: object) -> Node:
+    # a tree node's constructor, its children and binders handed to a rule of
+    # owner's node; with owner None, views that _validate admits nowhere
+    slots = list(values)
+    for i in shape.co:
+        slots[i] = _Subtree(owner, slots[i])
+    for i in shape.contra:
+        slots[i] = _SourceBinder(owner, *slots[i])
+    return shape.make(*slots)
 
 
 def _validate(root: Cxt, owner: object = None, extra: tuple = ()) -> Any:
@@ -284,6 +306,18 @@ def _map_tree(tree: Any, node: Callable, subst: dict | None = None) -> Any:
                 values[i] = value
             done.append(node(rec, tuple(values)))
     return done[0]
+
+
+def _nodes(tree: Any) -> Iterator[tuple]:
+    # the nodes of a validated tree in preorder, without a Python frame per level
+    stack = [tree]
+    while stack:
+        rec = stack.pop()
+        if type(rec) is not _BoundToken:
+            yield rec
+            shape, values, _ = rec
+            for i in reversed(shape.inner):
+                stack.append(values[i][1] if i in shape.contra else values[i])
 
 
 def _same_node(rec: tuple, values: tuple) -> tuple:

@@ -28,6 +28,7 @@ from .lang import CORE, App, Err, Lam, Lit, Plus
 from .result import Failure, Result, Success
 from .signature import Ann, Cases
 from .term import In, Term, Var, inject
+del annotations  # the __future__ feature, which a star import would export
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from phoaskit.algebra import cata, node_count
 from phoaskit.bench import bench_term, counted, measure_term
 from phoaskit.hom import (
     HomCases,
+    TreeCases,
     annotations,
     app_hom,
     app_term_hom,
@@ -41,9 +42,11 @@ from phoaskit.lang import (
     i_lit,
 )
 from phoaskit.names import _key, alpha_eq, preterm_eq, struct_show
-from phoaskit.signature import Ann, Cases, Inl, Inr, SubsumptionError, _bare, _peel, _rewrap, fmap_co
+from phoaskit.signature import (
+    Ann, Cases, Inl, Inr, SubsumptionError, _bare, _peel, _rewrap, fmap_co, map_slots,
+)
 from phoaskit.surface import NLet, NLit, NPlus, NVar, SrcPos, parse, parse_ann, term_of_named
-from phoaskit.term import ExoticTermError, Hole, In, Term, Var, smart_binder
+from phoaskit.term import ExoticTermError, Hole, In, Term, Var, project, smart_binder
 
 
 # a test homomorphism on the core signature: flips addition
@@ -549,3 +552,92 @@ def test_eight_stacked_stages_agree_with_the_staged_replay_path(corpus, ann_corp
             assert annotations(fast) == annotations(slow)
             assert pretty(strip_ann(fast)) == pretty(strip_ann(slow))
             assert results_equivalent(eval_cbv(fast), eval_cbv(slow))
+
+
+def test_fusion_after_a_lifted_table_holds_for_algebras_that_ignore_annotations():
+    t = parse_ann("let x = 1 in x + 2")
+    rho = lift_ann_hom(desugar_hom)
+    staged = app_term_hom(rho, t)
+    for phi, run in (
+        (count_alg, lambda r: r),
+        (_pretty_alg, lambda r: r(NameStream(1))),
+        (eval_alg, lambda r: r.value.value),
+    ):
+        assert run(cata(phi, staged)) == run(cata(compose_alg_hom(phi, rho), t))
+
+    # a fused table calls its rules on bare constructors, so an algebra that
+    # reads annotations sees them staged only
+    def annotated(node) -> int:  # the nodes under an annotation layer
+        leaf, tags = _peel(node)
+        below = sum(map_slots(leaf, lambda n: n, lambda body: body(0), lambda _: 0))
+        return below + any(tag is Ann for tag, _ in tags)
+
+    assert cata(annotated, staged) == 5
+    assert cata(compose_alg_hom(annotated, rho), t) == 0
+
+
+# a TreeCases rule may project its children: they stand for their mapped trees
+
+def test_project_reads_the_root_of_a_rule_childs_mapped_tree():
+    w_lit, w_plus = FULL.witness(Lit), FULL.witness(Plus)
+    seen = []
+
+    def look(leaf):
+        seen.append((project(leaf.lhs, w_lit), project(leaf.rhs, w_lit)))
+        inner = project(leaf.lhs, w_plus)
+        if inner is not None:  # a projected node's children project again
+            seen.append((project(inner.lhs, w_lit), project(inner.rhs, w_plus)))
+
+    app_term_hom(TreeCases({Plus: look}, FULL), parse("\\x. 1 + x + 2"))
+    assert seen == [(Lit(1), None), (None, Lit(2)), (Lit(1), None)]
+    # a child's annotation layers are looked through
+    seen.clear()
+    marked = TreeCases({Lit: lambda leaf: i_lit(leaf.value, FULL, ann="m"), Plus: look}, FULL)
+    out = app_term_hom(marked, parse("1 + 2"))
+    assert seen == [(Lit(1), Lit(2))]
+    assert annotations(out) == [("Plus", None), ("Lit", "m"), ("Lit", "m")]
+
+
+def test_a_declining_rule_re_tags_the_node():
+    t = parse_ann("\\x. x + (1 + 2)")
+    out = app_term_hom(TreeCases({Plus: lambda leaf: None}, CORE), t)
+    assert out == app_term_hom(identity_hom(CORE), t) == desugar(strip_ann(t))
+    assert path_of(out.preterm().node) == CORE.witness(Lam).tags
+    assert [ann for _, ann in annotations(out)] == [None] * 5
+
+
+def test_a_projected_node_cannot_be_placed():
+    w_plus, w_lam = FULL.witness(Plus), FULL.witness(Lam)
+
+    def graft(witness, place):
+        def rule(leaf):
+            inner = project(leaf.lhs, witness)
+            return None if inner is None else place(inner, leaf)
+
+        return TreeCases({Plus: rule}, FULL)
+
+    for witness, place, text in (
+        (w_plus, lambda inner, leaf: plus(inner.lhs, leaf.rhs), "1 + 2 + 3"),
+        (w_plus, lambda inner, leaf: plus(Hole(inner.rhs), leaf.rhs), "1 + 2 + 3"),
+        (w_lam, lambda inner, leaf: lam(lambda v: Hole(inner.body(v))), "(\\x. x) + 3"),
+        (w_lam, lambda inner, leaf: lam(lambda v: inner.body(v)), "(\\x. x) + 3"),
+        (w_plus, lambda inner, leaf: plus(Var(object()), leaf.rhs), "1 + 2 + 3"),  # a foreign Var
+    ):
+        with pytest.raises(ExoticTermError):
+            app_term_hom(graft(witness, place), parse(text))
+    # the rule's own children and a projected static payload are fine
+    out = app_term_hom(graft(w_plus, lambda inner, leaf: plus(leaf.lhs, leaf.rhs)), parse("1 + 2 + 3"))
+    assert out == parse("1 + 2 + 3")
+
+
+def test_fusion_refuses_a_projecting_table():
+    table = TreeCases({Plus: lambda leaf: None}, CORE)
+    assert isinstance(desugar_hom, TreeCases)
+    for call in (
+        lambda: compose_hom(identity_hom(CORE), table),
+        lambda: compose_hom(table, desugar_hom),
+        lambda: compose_alg_hom(eval_alg, table),
+        lambda: lift_ann_hom(table),
+    ):
+        with pytest.raises(TypeError, match="HomCases"):
+            call()

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import sys
 
+import pytest
 from conftest import results_equivalent
 from phoaskit.lang import (
     CORE,
@@ -26,6 +27,8 @@ from phoaskit.lang import (
 from phoaskit.hom import annotations
 from phoaskit.names import alpha_eq, struct_show
 from phoaskit.result import Failure, Success
+from phoaskit.signature import SubsumptionError
+from phoaskit.surface import parse
 from phoaskit.term import Term
 
 
@@ -135,6 +138,22 @@ def test_const_fold_preserves_semantics(corpus):
 def test_const_fold_works_on_the_core_signature():
     t = Term(lambda: i_plus(i_plus(i_lit(1, CORE), i_lit(2, CORE), CORE), i_lit(4, CORE), CORE))
     assert alpha_eq(const_fold(t, CORE), Term(lambda: i_lit(7, CORE)))
+
+
+def test_const_fold_into_core_refuses_a_let():
+    with pytest.raises(SubsumptionError, match="^Let is not a summand of Core$"):
+        const_fold(parse("let x = 1 + 2 in x"), CORE)
+
+
+def test_const_fold_of_10_000_term_chains():
+    # no Python frame per level: both chains are ten times the recursion limit deep
+    chain = parse(" + ".join(["1"] * 10_000))
+    folded = const_fold(chain)
+    assert annotations(folded) == [("Lit", None)]
+    assert pretty(folded) == "10000"
+    open_chain = parse("\\x. " + " + ".join(["x"] + ["1"] * 9_999))
+    # the Lam, 9999 additions and 9999 literals; an occurrence of x is no node
+    assert len(annotations(const_fold(open_chain))) == 1 + 9_999 + 9_999
 
 
 def test_eval_golden_results():

@@ -1,9 +1,10 @@
-"""Evaluators against an independent reference semantics.
+"""Evaluators and constant folding against an independent reference.
 
-``perfbench/ref.py`` evaluates plain tuple trees over environments and
-shares no code with the library, so it checks ``eval_cbv``, ``eval_fused``
-and the sorted evaluator from outside, where comparing fused against
-staged evaluation could not: both of those share ``eval_alg``.
+``perfbench/ref.py`` evaluates, desugars, folds and prints plain tuple
+trees and shares no code with the library, so it checks ``eval_cbv``,
+``eval_fused``, the sorted evaluator and ``const_fold`` from outside,
+where comparing fused against staged evaluation could not: both of those
+share ``eval_alg``.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from pathlib import Path
 
 from conftest import random_named
 
-from phoaskit.lang import FunV, IntV, desugar, eval_cbv, eval_fused, pretty
+from phoaskit.lang import CORE, FunV, IntV, const_fold, desugar, eval_cbv, eval_fused, pretty
 from phoaskit.result import Failure
 from phoaskit.surface import NApp, NErr, NLam, NLet, NLit, NPlus, NVar, parse_named, term_of_named
 from phoaskit.typed import INT, TArrow, erase, random_typed_term, typed_eval
@@ -104,3 +105,16 @@ def test_typed_evaluator_agrees_with_the_reference_after_erasure():
         assert typed_outcome(typed_eval(t)) == expected
         kinds.add(expected[1] if expected[0] == "fail" else expected[0])
     assert kinds == {"int", "fun", "error"}
+
+
+def test_const_fold_agrees_with_the_reference():
+    rng = random.Random(2026)
+    changed = 0
+    for _ in range(300):
+        ast = random_named(rng, 5)
+        t, tree = term_of_named(ast), to_ref(ast)
+        want = ref.pretty(ref.const_fold(tree))
+        assert pretty(const_fold(t)) == want
+        assert pretty(const_fold(desugar(t), CORE)) == ref.pretty(ref.const_fold(ref.desugar(tree)))
+        changed += want != ref.pretty(tree)
+    assert changed >= 20  # enough of the trees have an addition of two literals

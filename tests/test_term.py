@@ -277,11 +277,16 @@ def test_public_names_resolve():
 
 
 def test_star_imports_keep_annotations():
-    # a module without __all__ exports the __future__ feature of its own
+    # a module without __all__ would export the __future__ feature of its own
     # ``from __future__ import annotations`` under that name
+    import pkgutil
+
+    import phoaskit
     from phoaskit import hom
 
+    modules = sorted(m.name for m in pkgutil.iter_modules(phoaskit.__path__) if m.name != "__main__")
+    assert {"algebra", "bench", "cli", "names", "result", "signature", "term", "typed"} <= set(modules)
     namespace = {}
-    exec("from phoaskit import *\nfrom phoaskit.lang import *\nfrom phoaskit.surface import *", namespace)
+    exec("from phoaskit import *\n" + "".join(f"from phoaskit.{m} import *\n" for m in modules), namespace)
     assert namespace["annotations"] is hom.annotations
-    assert {"parse", "pretty", "SrcPos", "eval_fused"} <= set(namespace)
+    assert {"parse", "pretty", "SrcPos", "eval_fused", "TreeCases", "node_count"} <= set(namespace)
