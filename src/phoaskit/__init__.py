@@ -7,107 +7,12 @@ that fuse with each other and with algebras.  The ``lang`` module wires
 the machinery into a small lambda language with a parser, pretty printer,
 desugarer, constant folder and interpreters.
 """
-from .algebra import (
-    cata,
-    cata_m,
-    cata_pre,
-    deep_project,
-    free,
-    node_count,
-)
-from .hom import (
-    HomCases,
-    TreeCases,
-    annotations,
-    app_hom,
-    app_term_hom,
-    compose_alg_hom,
-    compose_hom,
-    identity_hom,
-    lift_ann_hom,
-    strip_ann,
-)
-from .names import Name, alpha_compare, alpha_eq, struct_show
-from .result import Failure, Result, Success
-from .signature import (
-    Ann,
-    Cases,
-    Inl,
-    Inr,
-    MissingCaseError,
-    Node,
-    Signature,
-    Slot,
-    SlotKind,
-    SubsumptionError,
-    Subsumption,
-    TraversalError,
-    dimap,
-    disequence,
-    fmap_co,
-)
-from .term import (
-    Cxt,
-    ExoticTermError,
-    Hole,
-    In,
-    Term,
-    Var,
-    app_cxt,
-    inject,
-    project,
-    smart_binder,
-    var_of,
-)
+from . import algebra, hom, names, result, signature, term
+from .algebra import *
+from .hom import *
+from .names import *
+from .result import *
+from .signature import *
+from .term import *
 
-__all__ = [
-    "Ann",
-    "Cases",
-    "Cxt",
-    "ExoticTermError",
-    "Failure",
-    "Hole",
-    "HomCases",
-    "In",
-    "Inl",
-    "Inr",
-    "MissingCaseError",
-    "Name",
-    "Node",
-    "Result",
-    "Signature",
-    "Slot",
-    "SlotKind",
-    "Subsumption",
-    "SubsumptionError",
-    "Success",
-    "Term",
-    "TraversalError",
-    "TreeCases",
-    "Var",
-    "alpha_compare",
-    "alpha_eq",
-    "annotations",
-    "app_cxt",
-    "app_hom",
-    "app_term_hom",
-    "cata",
-    "cata_m",
-    "cata_pre",
-    "compose_alg_hom",
-    "compose_hom",
-    "deep_project",
-    "dimap",
-    "disequence",
-    "fmap_co",
-    "free",
-    "identity_hom",
-    "inject",
-    "lift_ann_hom",
-    "node_count",
-    "project",
-    "smart_binder",
-    "strip_ann",
-    "struct_show",
-    "var_of",
-]
+__all__ = algebra.__all__ + hom.__all__ + names.__all__ + result.__all__ + signature.__all__ + term.__all__

@@ -18,7 +18,8 @@ from typing import Any, Callable
 from .result import Failure, Result, Success
 from .signature import Cases, MissingCaseError, Signature, disequence, fmap_co
 from .term import Cxt, In, Term, Var, _nodes, replay
-del annotations  # the __future__ feature, which a star import would export
+
+__all__ = ["cata", "cata_m", "cata_pre", "deep_project", "free", "node_count"]
 
 
 def cata_pre(phi: Callable, c: Cxt) -> Any:

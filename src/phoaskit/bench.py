@@ -36,7 +36,11 @@ from .surface import (
     term_of_named,
 )
 from .term import Term
-del annotations  # the __future__ feature, which a star import would export
+
+__all__ = [
+    "TermStats", "VisitCounter", "bench_json", "bench_term", "counted", "measure_term", "run_bench",
+    "single_use_ast",
+]
 
 
 class VisitCounter:

@@ -22,7 +22,8 @@ from .lang import CORE, FunV, IntV, const_fold, desugar, eval_cbv, eval_fused, p
 from .names import alpha_eq, struct_show
 from .result import Failure
 from .surface import ParseError, parse
-del annotations  # the __future__ feature, which a star import would export
+
+__all__ = ["EXIT_EVAL", "EXIT_OK", "EXIT_PARSE", "EXIT_RESOURCE", "main"]
 
 EXIT_OK = 0
 EXIT_EVAL = 1

@@ -10,8 +10,10 @@ inspecting them.  Application merges the produced contexts:
 
 A homomorphism is a :class:`HomCases`, a rule table whose default
 re-tags a constructor into the target signature, its children as holes;
-the functions here that take one, but ``app_hom``, raise ``TypeError``
-on anything else (``app_term_hom`` maps any :class:`TreeCases`).
+the functions here that take one raise ``TypeError`` on any other
+callable, but ``app_hom`` refuses only a :class:`TreeCases` that is no
+``HomCases`` and takes a plain callable, as the definition above does
+(``app_term_hom`` maps any ``TreeCases``).
 Homomorphisms compose into a ``HomCases`` (``compose_hom``), fuse with
 an algebra into a table (``compose_alg_hom``) and lift over annotated
 signatures (``lift_ann_hom``), satisfying
@@ -42,6 +44,11 @@ from .term import (
     _validate,
     app_cxt,
 )
+
+__all__ = [
+    "HomCases", "TreeCases", "annotations", "app_hom", "app_term_hom", "compose_alg_hom", "compose_hom",
+    "identity_hom", "lift_ann_hom", "strip_ann",
+]
 
 
 class TreeCases(Cases):
@@ -109,7 +116,11 @@ def _table(rho: Any) -> HomCases:
 
 
 def app_hom(rho: Callable[[Any], Cxt], c: Cxt) -> Cxt:
-    """Apply a homomorphism to a context (or preterm), by the definition above."""
+    """Apply a homomorphism to a context (or preterm), by the definition above:
+    ``rho`` is a :class:`HomCases` or a plain callable, never another
+    :class:`TreeCases`, whose rules may project or decline."""
+    if isinstance(rho, TreeCases):
+        _table(rho)
 
     def walk(c: Cxt) -> Cxt:
         return app_cxt(rho(fmap_co(walk, c.node))) if isinstance(c, In) else c

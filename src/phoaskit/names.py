@@ -20,7 +20,8 @@ from typing import Any
 
 from .signature import _CO, _CONTRA, Ann, Inl
 from .term import Cxt, Term, _alpha_key, _BoundToken, _validate
-del annotations  # the __future__ feature, which a star import would export
+
+__all__ = ["Name", "alpha_compare", "alpha_eq", "struct_show"]
 
 
 @dataclass(frozen=True, order=True)

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any
-del annotations  # the __future__ feature, which a star import would export
+
+__all__ = ["Failure", "Result", "Success"]
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,11 @@ from operator import attrgetter
 from typing import Any, Callable, ClassVar, Iterator
 
 from .result import Failure, Result, Success
-del annotations  # the __future__ feature, which a star import would export
+
+__all__ = [
+    "Ann", "Cases", "Inl", "Inr", "MissingCaseError", "Node", "Signature", "Slot", "SlotKind", "Subsumption",
+    "SubsumptionError", "TraversalError", "dimap", "disequence", "fmap_co",
+]
 
 
 class SlotKind(Enum):
@@ -265,8 +269,15 @@ class Subsumption:
 
     def proj(self, node: Any) -> Node | None:
         leaf, tags = _peel(node)
-        tags = tuple(pair for pair in tags if pair[0] is not Ann)
-        return leaf if tags == self.tags and isinstance(leaf, self.summand) else None
+        return leaf if self.matches(type(leaf), tags) else None
+
+    def matches(self, cls: type, tags) -> bool:
+        """Whether a ``cls`` node under the ``(type, ann)`` pairs ``tags``,
+        innermost first, is of this summand and took its path into the sum;
+        ``Ann`` pairs are looked through."""
+        if tags != self.tags:
+            tags = tuple(pair for pair in tags if pair[0] is not Ann)
+        return tags == self.tags and issubclass(cls, self.summand)
 
 
 class Signature:

@@ -45,7 +45,11 @@ from .signature import (
     fmap_co,
     shape_of,
 )
-del annotations  # the __future__ feature, which a star import would export
+
+__all__ = [
+    "Cxt", "ExoticTermError", "Hole", "In", "Term", "Var", "app_cxt", "inject", "project", "smart_binder",
+    "var_of",
+]
 
 
 @dataclass(frozen=True)
@@ -92,7 +96,7 @@ def project(c: Cxt, witness: Subsumption) -> Node | None:
     Answers ``None`` on ``Var`` and ``Hole``, and on ``In`` nodes whose
     injection path belongs to a different summand.  Every annotation layer
     is looked through, between the sum tags too (see
-    :meth:`~phoaskit.signature.Subsumption.proj`).  A child that a
+    :meth:`~phoaskit.signature.Subsumption.matches`).  A child that a
     :class:`~phoaskit.hom.TreeCases` rule got projects to the root of its
     mapped tree, whose children and binders no context may place.
     """
@@ -100,10 +104,7 @@ def project(c: Cxt, witness: Subsumption) -> Node | None:
         if type(c.tree) is _BoundToken:
             return None
         shape, values, tags = c.tree
-        tags = tags if tags == witness.tags else tuple(pair for pair in tags if pair[0] is not Ann)
-        if tags != witness.tags or not issubclass(shape.cls, witness.summand):
-            return None
-        return _node_of(shape, values, None)
+        return _node_of(shape, values, None) if witness.matches(shape.cls, tags) else None
     return witness.proj(c.node) if isinstance(c, In) else None
 
 

@@ -28,7 +28,11 @@ from .lang import CORE, App, Err, Lam, Lit, Plus
 from .result import Failure, Result, Success
 from .signature import Ann, Cases
 from .term import In, Term, Var, inject
-del annotations  # the __future__ feature, which a star import would export
+
+__all__ = [
+    "INT", "ObjType", "SortMismatchError", "TArrow", "TInt", "TVar", "TypedTerm", "erase",
+    "random_typed_term", "sort_of", "t_app", "t_err", "t_lam", "t_lit", "t_plus", "typed_demo", "typed_eval",
+]
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,7 @@ from phoaskit.lang import (
     Let,
     Lit,
     i_lit,
+    i_plus,
 )
 from phoaskit.names import _key, alpha_eq, preterm_eq, struct_show
 from phoaskit.signature import (
@@ -272,12 +273,7 @@ def test_strip_ann_removes_annotations_between_sum_tags():
 
 def test_annotations_of_a_2000_term_chain():
     text = " + ".join(["1"] * 2000)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(10_000)  # building and folding the term recurse once per level
-    try:
-        anns = annotations(parse_ann(text))
-    finally:
-        sys.setrecursionlimit(limit)
+    anns = annotations(parse_ann(text))
     lits = [("Lit", SrcPos(1, 1 + 4 * k)) for k in range(2000)]
     assert anns == [("Plus", SrcPos(1, 1))] * 1999 + lits
 
@@ -638,6 +634,7 @@ def test_fusion_refuses_a_projecting_table():
         lambda: compose_hom(table, desugar_hom),
         lambda: compose_alg_hom(eval_alg, table),
         lambda: lift_ann_hom(table),
+        lambda: app_hom(table, i_plus(i_lit(1), i_lit(2))),
     ):
         with pytest.raises(TypeError, match="HomCases"):
             call()

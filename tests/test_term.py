@@ -267,13 +267,33 @@ def test_folds_see_the_validated_tree_of_a_changing_builder():
     assert next(counter) == 1
 
 
+PACKAGE_NAMES = [
+    "Ann", "Cases", "Cxt", "ExoticTermError", "Failure", "Hole", "HomCases", "In", "Inl", "Inr",
+    "MissingCaseError", "Name", "Node", "Result", "Signature", "Slot", "SlotKind", "Subsumption",
+    "SubsumptionError", "Success", "Term", "TraversalError", "TreeCases", "Var", "alpha_compare",
+    "alpha_eq", "annotations", "app_cxt", "app_hom", "app_term_hom", "cata", "cata_m", "cata_pre",
+    "compose_alg_hom", "compose_hom", "deep_project", "dimap", "disequence", "fmap_co", "free",
+    "identity_hom", "inject", "lift_ann_hom", "node_count", "project", "smart_binder", "strip_ann",
+    "struct_show", "var_of",
+]
+
+
 def test_public_names_resolve():
+    import importlib
+    import pkgutil
+
     import phoaskit
 
+    assert sorted(phoaskit.__all__) == PACKAGE_NAMES
+    assert len(set(phoaskit.__all__)) == len(phoaskit.__all__)  # no core module shadows another's name
     assert [name for name in phoaskit.__all__ if not hasattr(phoaskit, name)] == []
     namespace = {}
     exec("from phoaskit import *", namespace)
     assert set(phoaskit.__all__) <= set(namespace)
+    for info in pkgutil.iter_modules(phoaskit.__path__):
+        if info.name != "__main__":
+            module = importlib.import_module(f"phoaskit.{info.name}")
+            assert [name for name in module.__all__ if not hasattr(module, name)] == [], info.name
 
 
 def test_star_imports_keep_annotations():
